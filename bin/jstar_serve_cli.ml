@@ -6,9 +6,6 @@
 
 open Cmdliner
 
-let tune_runtime () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
-
 (* -- shared options ---------------------------------------------------- *)
 
 let port_arg =
@@ -111,7 +108,16 @@ let serve_cmd =
   in
   let run root addr port max_sessions max_connections feed_quota idle_timeout
       checkpoint_every fsync threads ops_port flight_dir =
-    tune_runtime ();
+    (* A 16 MB minor heap, a quarter of jstar-demo's 64 MB.  Every Gamma
+       tuple a session inserts lives on, so each minor collection copies
+       all tuples inserted since the previous one: at 64 MB that is an
+       8-20 ms pause on whichever drain is running, and those pauses set
+       the drain p99.  Smaller is not better either: at OCaml's default
+       2 MB heap short-lived per-feed data stops dying young, and the
+       drain median rises by about 30%.  16 MB keeps the median at the
+       64 MB level and the p99 at 4-6 ms on the serve-stream benchmark
+       (DESIGN.md section 15 has the sweep). *)
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = 2 * 1024 * 1024 };
     let frozen = Jstar_serve.Demo.sensor_program () in
     let cfg =
       {

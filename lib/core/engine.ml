@@ -239,6 +239,16 @@ type state = {
       (* set just before a Causality_violation raises: the message and
          the tuples it names, for the flight recorder's explain-tree
          section (raising unwinds the stack, so capture happens here) *)
+  mutable appends : append_log option;
+      (* [log_appends]: every tuple accepted into a stored Gamma store
+         since the last [take_appended], for incremental checkpoints.
+         [None] (the default) costs one field read per accepted class
+         and per -noDelta insert *)
+}
+
+and append_log = {
+  al_mutex : Mutex.t; (* -noDelta inserts log from concurrent Phase B *)
+  al_tuples : Tuple.t list array; (* by table id, newest first *)
 }
 
 let store_for config ~parallel schema =
@@ -578,6 +588,7 @@ let make_state frozen config =
        else None);
     journal = Jstar_obs.Journal.create ();
     last_violation = ref None;
+    appends = None;
   }
   in
   (* Causal stamping observer: every mailbox post emits the send half
@@ -854,6 +865,18 @@ let audit_visit st fr tuple =
              Tuple.pp tuple Timestamp.pp ts
              (if strict then " (must be strictly earlier)" else ""))
 
+(* Record tuples just accepted into Gamma ([log_appends]).  -noGamma
+   tables accept everything into a null store and are never
+   snapshotted, so they are skipped. *)
+let log_accepted st log tuples =
+  Mutex.lock log.al_mutex;
+  Array.iter
+    (fun t ->
+      let id = (Tuple.schema t).Schema.id in
+      if not st.no_gamma.(id) then log.al_tuples.(id) <- t :: log.al_tuples.(id))
+    tuples;
+  Mutex.unlock log.al_mutex
+
 let rec route_put st ctx tuple =
   let schema = Tuple.schema tuple in
   let id = schema.Schema.id in
@@ -875,6 +898,9 @@ let rec route_put st ctx tuple =
     (* §5.1: straight to Gamma, fire immediately in this task. *)
     if st.gamma.(id).Store.insert tuple then (
       Table_stats.incr c.Table_stats.gamma_inserts;
+      (match st.appends with
+      | Some log -> log_accepted st log [| tuple |]
+      | None -> ());
       fire_rules st ctx tuple)
     else Table_stats.incr c.Table_stats.gamma_dups)
   else if st.gamma.(id).Store.mem tuple then
@@ -1242,6 +1268,9 @@ let route_put_batch st bctx scratch ~home tuple =
   if st.no_delta.(id) then (
     if st.gamma.(id).Store.insert tuple then (
       Table_stats.incr c.Table_stats.gamma_inserts;
+      (match st.appends with
+      | Some log -> log_accepted st log [| tuple |]
+      | None -> ());
       fire_rules st bctx tuple)
     else Table_stats.incr c.Table_stats.gamma_dups)
   else if st.gamma.(id).Store.mem tuple then
@@ -1779,6 +1808,9 @@ let run_step st ctx tuples =
   (match st.agg with
   | Some agg -> Agg_cache.note_batch agg to_fire (Array.length to_fire)
   | None -> ());
+  (match st.appends with
+  | Some log -> log_accepted st log to_fire
+  | None -> ());
   run_class_effects st ctx tuples;
   (* Phase B: fire all rules of the class in parallel — one task per
      tuple by default, one per (tuple, rule) pair under the §5.2
@@ -2258,16 +2290,54 @@ let stored_tables session =
   Array.to_list st.frozen.Program.tables
   |> List.filter (fun s -> not st.no_gamma.(s.Schema.id))
 
-let gamma_digest session =
+let gamma_fingerprint session =
   let st = session.st in
   let overall = Fingerprint.create () in
   Array.iter
     (fun s ->
       let id = s.Schema.id in
-      if not st.no_gamma.(id) then begin
-        let d = Fingerprint.create () in
-        st.gamma.(id).Store.iter (fun t -> Fingerprint.add_tuple d t);
-        Fingerprint.add overall d
-      end)
+      if not st.no_gamma.(id) then
+        st.gamma.(id).Store.iter (fun t -> Fingerprint.add_tuple overall t))
     st.frozen.Program.tables;
-  Fingerprint.hex overall
+  overall
+
+let gamma_digest session = Fingerprint.hex (gamma_fingerprint session)
+
+let log_appends session =
+  let st = session.st in
+  let custom =
+    Array.exists
+      (fun s ->
+        (not st.no_gamma.(s.Schema.id))
+        &&
+        match List.assoc_opt s.Schema.name st.config.Config.stores with
+        | Some (Store.Custom _) -> true
+        | _ -> false)
+      st.frozen.Program.tables
+  in
+  if (not custom) && Option.is_none st.appends then
+    st.appends <-
+      Some
+        {
+          al_mutex = Mutex.create ();
+          al_tuples = Array.make (Array.length st.frozen.Program.tables) [];
+        };
+  not custom
+
+let take_appended session =
+  let st = session.st in
+  match st.appends with
+  | None -> []
+  | Some log ->
+      Mutex.lock log.al_mutex;
+      let taken =
+        Array.to_list st.frozen.Program.tables
+        |> List.filter_map (fun s ->
+               match log.al_tuples.(s.Schema.id) with
+               | [] -> None
+               | ts ->
+                   log.al_tuples.(s.Schema.id) <- [];
+                   Some (s, List.rev ts))
+      in
+      Mutex.unlock log.al_mutex;
+      taken

@@ -201,3 +201,24 @@ val gamma_digest : session -> string
 (** 128-bit hex digest of every stored tuple right now, independent of
     [Config.digest].  Recovery compares this against the snapshot
     manifest to prove the rebuilt database is bit-identical. *)
+
+val gamma_fingerprint : session -> Fingerprint.t
+(** The lanes behind {!gamma_digest} ([Fingerprint.hex] of it is the
+    digest) — a running total a caller can extend with the lanes of
+    tuples added later, since the lane sum is commutative. *)
+
+val log_appends : session -> bool
+(** Start recording every tuple accepted into a stored (not
+    [-noGamma]) Gamma store from now on — Phase-A class inserts and
+    [-noDelta] inserts alike, safe under any thread count — for
+    {!take_appended}.  Tuples installed by {!load_tuple} are not
+    recorded.  Returns [false] and records nothing when some stored
+    table has a [Store.Custom] store: those may evict or be written
+    through raw handles, so no append log can describe their contents.
+    Sessions that never call this pay nothing.  Idempotent. *)
+
+val take_appended : session -> (Schema.t * Tuple.t list) list
+(** The tuples recorded since {!log_appends} or the previous call, per
+    stored table in declaration order (tables with none are omitted),
+    oldest first; clears the log.  Each accepted tuple appears exactly
+    once.  [[]] when logging is off. *)

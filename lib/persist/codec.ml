@@ -135,6 +135,43 @@ let encode_tuple b t =
   put_u32 b schema.Schema.id;
   Array.iter (put_value b) (Tuple.fields t)
 
+(* In-place twin of [encode_tuple] for the snapshot writer, which
+   frames records directly in its output buffer: [tuple_size] bytes
+   exactly, written at [off]; returns the offset just past them. *)
+let value_size = function
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+  | Value.Bool _ -> 2
+
+let tuple_size t =
+  Array.fold_left (fun n v -> n + value_size v) 4 (Tuple.fields t)
+
+let set_u32 dst off v = Bytes.set_int32_le dst off (Int32.of_int v)
+
+let encode_tuple_into dst off t =
+  set_u32 dst off (Tuple.schema t).Schema.id;
+  Array.fold_left
+    (fun off v ->
+      match v with
+      | Value.Int i ->
+          Bytes.set_uint8 dst off tag_int;
+          Bytes.set_int64_le dst (off + 1) (Int64.of_int i);
+          off + 9
+      | Value.Float f ->
+          Bytes.set_uint8 dst off tag_float;
+          Bytes.set_int64_le dst (off + 1) (Int64.bits_of_float f);
+          off + 9
+      | Value.Str s ->
+          Bytes.set_uint8 dst off tag_str;
+          set_u32 dst (off + 1) (String.length s);
+          Bytes.blit_string s 0 dst (off + 5) (String.length s);
+          off + 5 + String.length s
+      | Value.Bool b ->
+          Bytes.set_uint8 dst off tag_bool;
+          Bytes.set_uint8 dst (off + 1) (if b then 1 else 0);
+          off + 2)
+    (off + 4) (Tuple.fields t)
+
 let decode_tuple ~tables src pos =
   let id = get_u32 src pos in
   if id < 0 || id >= Array.length tables then fail "table id %d out of range" id;

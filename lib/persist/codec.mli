@@ -37,6 +37,17 @@ val get_string : Bytes.t -> int ref -> string
 
 val encode_tuple : Buffer.t -> Jstar_core.Tuple.t -> unit
 
+val tuple_size : Jstar_core.Tuple.t -> int
+(** Exact length of the tuple's encoding. *)
+
+val set_u32 : Bytes.t -> int -> int -> unit
+(** [set_u32 dst off v]: {!put_u32} at a fixed offset. *)
+
+val encode_tuple_into : Bytes.t -> int -> Jstar_core.Tuple.t -> int
+(** [encode_tuple_into dst off t] writes the same bytes as
+    {!encode_tuple} at [off] ({!tuple_size} of them) and returns the
+    offset just past them. *)
+
 val decode_tuple :
   tables:Jstar_core.Schema.t array -> Bytes.t -> int ref -> Jstar_core.Tuple.t
 (** Rebuilds through {!Jstar_core.Tuple.make}, so arity and field types

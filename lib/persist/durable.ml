@@ -36,6 +36,19 @@ type t = {
   mutable drains_since_ckpt : int;
   mutable wal_records : int;  (* records in the current generation's WAL *)
   mutable syncs_base : int * int;  (* (fsyncs, coalesced) of retired writers *)
+  log_on : bool;
+      (* [Engine.log_appends] accepted: the engine records Gamma's
+         growth, so a checkpoint may write only that *)
+  mutable snap : Snapshot.manifest option;
+      (* the current generation's manifest; [None] at generation 0, or
+         after a checkpoint that failed part-way (the next one is then
+         a full rewrite) *)
+  gamma_fp : Fingerprint.t;  (* Gamma's digest lanes as of [snap] *)
+  mutable fresh_out : string list list;
+      (* lines drained since [snap], one list per drain, newest first *)
+  mutable ckpt_full : int;
+  mutable ckpt_delta : int;
+  mutable ckpt_tuples : int;  (* tuples written by all checkpoints *)
 }
 
 type restore_info = {
@@ -150,10 +163,85 @@ let feed t tuples =
 let drain_no_ckpt t =
   let fresh = Engine.drain t.session in
   List.iter (Fingerprint.mix_string t.out_digest) fresh;
+  if fresh <> [] then t.fresh_out <- fresh :: t.fresh_out;
   Wal.append_watermark t.wal (watermark_of t);
   Wal.commit t.wal;
   t.wal_records <- t.wal_records + 1;
   fresh
+
+(* Gamma only grows, so generation n+1 can be generation n plus the
+   tuples the engine logged since and the lines drained since: a delta.
+   The doubling rule keeps every record (tuple or line) written O(1)
+   times amortised: deltas accumulate while all runs together, this one
+   included, hold fewer records than the base, then one full rewrite
+   folds them into a new base at least twice the old one.  Returns the
+   manifest written and whether it was a delta. *)
+let write_snapshot t ~next =
+  let appended = Engine.take_appended t.session in
+  let state = Engine.session_state ~with_outputs:false t.session in
+  let manifest ~segments ~runs =
+    {
+      Snapshot.m_gen = next;
+      m_schema_hash = t.schema_hash;
+      m_step_no = state.Engine.ss_step_no;
+      m_steps = state.Engine.ss_steps;
+      m_processed = state.Engine.ss_processed;
+      m_outputs_count = state.Engine.ss_outputs_count;
+      m_seq_lanes = state.Engine.ss_seq_lanes;
+      m_out_lanes = Fingerprint.lanes t.out_digest;
+      m_gamma_digest = Fingerprint.hex t.gamma_fp;
+      m_wal = wal_name next;
+      m_segments = segments;
+      m_runs = runs;
+    }
+  in
+  let added = List.fold_left (fun n (_, ts) -> n + List.length ts) 0 appended in
+  let outputs = List.concat (List.rev t.fresh_out) in
+  let lines = List.length outputs in
+  let prev = t.snap in
+  t.snap <- None;
+  match prev with
+  | Some prev
+    when t.log_on
+         && Snapshot.run_records prev + added + lines
+            < Snapshot.base_records prev
+         && prev.Snapshot.m_outputs_count + lines
+            = state.Engine.ss_outputs_count ->
+      List.iter
+        (fun (_, ts) -> List.iter (Fingerprint.add_tuple t.gamma_fp) ts)
+        appended;
+      let m =
+        Snapshot.write_delta ~dir:t.dir ~prev ~schema_hash:t.schema_hash
+          ~manifest_of:(manifest ~segments:prev.Snapshot.m_segments)
+          ~outputs
+          ~runs:(List.map (fun (s, ts) -> (s, fun f -> List.iter f ts)) appended)
+      in
+      t.ckpt_delta <- t.ckpt_delta + 1;
+      t.ckpt_tuples <- t.ckpt_tuples + added;
+      (m, true)
+  | _ ->
+      (* The digest folds into the write pass: one walk over Gamma. *)
+      Fingerprint.set_lanes t.gamma_fp ~lo:0 ~hi:0;
+      let count = ref 0 in
+      let m =
+        Snapshot.write ~dir:t.dir ~gen:next ~schema_hash:t.schema_hash
+          ~manifest_of:(manifest ~runs:[])
+          ~outputs:(Engine.session_state t.session).Engine.ss_outputs
+          ~segments:
+            (List.map
+               (fun schema ->
+                 let store = Engine.session_gamma t.session schema in
+                 ( schema,
+                   fun f ->
+                     store.Store.iter (fun tuple ->
+                         Fingerprint.add_tuple t.gamma_fp tuple;
+                         incr count;
+                         f tuple) ))
+               (Engine.stored_tables t.session))
+      in
+      t.ckpt_full <- t.ckpt_full + 1;
+      t.ckpt_tuples <- t.ckpt_tuples + !count;
+      (m, false)
 
 let checkpoint t =
   let pending = Engine.session_pending t.session in
@@ -162,30 +250,7 @@ let checkpoint t =
       (Printf.sprintf
          "Durable.checkpoint: %d tuples still pending (drain first)" pending);
   let next = t.gen + 1 in
-  let state = Engine.session_state t.session in
-  let out_lanes = Fingerprint.lanes t.out_digest in
-  let gamma_digest = Engine.gamma_digest t.session in
-  Snapshot.write ~dir:t.dir ~gen:next ~schema_hash:t.schema_hash
-    ~manifest_of:(fun ~segments ->
-      {
-        Snapshot.m_gen = next;
-        m_schema_hash = t.schema_hash;
-        m_step_no = state.Engine.ss_step_no;
-        m_steps = state.Engine.ss_steps;
-        m_processed = state.Engine.ss_processed;
-        m_outputs_count = state.Engine.ss_outputs_count;
-        m_seq_lanes = state.Engine.ss_seq_lanes;
-        m_out_lanes = out_lanes;
-        m_gamma_digest = gamma_digest;
-        m_wal = wal_name next;
-        m_segments = segments;
-      })
-    ~outputs:state.Engine.ss_outputs
-    ~segments:
-      (List.map
-         (fun schema ->
-           (schema, (Engine.session_gamma t.session schema).Store.iter))
-         (Engine.stored_tables t.session));
+  let m, delta = write_snapshot t ~next in
   (* Drain any unsynced WAL bytes of the old generation before the flip
      makes it garbage (paranoia: nothing after the flip reads it). *)
   Wal.sync t.wal;
@@ -194,7 +259,9 @@ let checkpoint t =
       ~policy:t.policy
   in
   write_current t.dir next;
-  (* Commit point passed: retire the old generation. *)
+  (* Commit point passed: retire the old generation.  Removing its
+     snapshot directory only drops names: files the new generation
+     links survive. *)
   Wal.close t.wal;
   (try Unix.unlink (wal_path_of t.dir t.gen) with Unix.Unix_error _ -> ());
   Snapshot.remove ~dir:t.dir ~gen:t.gen;
@@ -204,14 +271,16 @@ let checkpoint t =
   t.wal <- new_wal;
   t.drains_since_ckpt <- 0;
   t.wal_records <- 0;
+  t.snap <- Some m;
+  t.fresh_out <- [];
   Jstar_obs.Journal.info
     (Engine.session_journal t.session)
     ~comp:"persist" ~event:"checkpoint"
     [
       ("gen", Jstar_obs.Json.Num (float_of_int next));
-      ( "step_no",
-        Jstar_obs.Json.Num (float_of_int state.Engine.ss_step_no) );
-      ("gamma_digest", Jstar_obs.Json.Str gamma_digest);
+      ("step_no", Jstar_obs.Json.Num (float_of_int m.Snapshot.m_step_no));
+      ("kind", Jstar_obs.Json.Str (if delta then "delta" else "full"));
+      ("gamma_digest", Jstar_obs.Json.Str m.Snapshot.m_gamma_digest);
     ]
 
 let drain t =
@@ -243,7 +312,7 @@ let fsync_policy_name t =
   | Wal.Every_ms n -> Printf.sprintf "every-ms-%d" n
   | Wal.Never -> "never"
 
-let register_wal_metrics t =
+let register_metrics t =
   let m = Engine.session_metrics t.session in
   Jstar_obs.Metrics.register_counter m ~name:"wal.fsyncs" (fun () ->
       wal_fsyncs t);
@@ -251,35 +320,65 @@ let register_wal_metrics t =
       wal_coalesced_syncs t);
   Jstar_obs.Metrics.register_gauge m ~name:"wal.policy_window_ms" (fun () ->
       Jstar_obs.Metrics.Int
-        (match t.policy with Wal.Every_ms n -> n | _ -> 0))
+        (match t.policy with Wal.Every_ms n -> n | _ -> 0));
+  Jstar_obs.Metrics.register_counter m ~name:"persist.checkpoints_full"
+    (fun () -> t.ckpt_full);
+  Jstar_obs.Metrics.register_counter m ~name:"persist.checkpoints_delta"
+    (fun () -> t.ckpt_delta);
+  Jstar_obs.Metrics.register_counter m
+    ~name:"persist.checkpoint_tuples_written" (fun () -> t.ckpt_tuples);
+  Jstar_obs.Metrics.register_gauge m ~name:"persist.snapshot_runs" (fun () ->
+      Jstar_obs.Metrics.Int
+        (match t.snap with
+        | Some s -> List.length s.Snapshot.m_runs
+        | None -> 0))
 
 (* -- open / recovery ------------------------------------------------- *)
 
-let fresh_session ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen
-    config =
-  let wal = Wal.create (wal_path_of dir 0) ~schema_hash ~policy in
+(* [session] must hold exactly generation [gen]'s snapshot (described
+   by [snap], with Gamma lanes [gamma_fp]): the append log starts here,
+   so everything the WAL replays on top is logged. *)
+let make ~checkpoint_every ~policy ~dir ~tables ~schema_hash ~session
+    ~out_digest ~fork_base ~gen ~wal ~wal_records ~snap ~gamma_fp =
   {
     dir;
-    session = Engine.start frozen config;
+    session;
     tables;
     schema_hash;
     policy;
     checkpoint_every;
-    fork_base = None;
-    out_digest = Fingerprint.create ();
-    gen = 0;
+    fork_base;
+    out_digest;
+    gen;
     wal;
     drains_since_ckpt = 0;
-    wal_records = 0;
+    wal_records;
     syncs_base = (0, 0);
+    log_on = Engine.log_appends session;
+    snap;
+    gamma_fp;
+    fresh_out = [];
+    ckpt_full = 0;
+    ckpt_delta = 0;
+    ckpt_tuples = 0;
   }
+
+let fresh_session ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen
+    config =
+  make ~checkpoint_every ~policy ~dir ~tables ~schema_hash
+    ~session:(Engine.start frozen config) ~out_digest:(Fingerprint.create ())
+    ~fork_base:None ~gen:0
+    ~wal:(Wal.create (wal_path_of dir 0) ~schema_hash ~policy)
+    ~wal_records:0 ~snap:None ~gamma_fp:(Fingerprint.create ())
 
 let recover ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen config
     gen =
   let session = Engine.start frozen config in
   let out_digest = Fingerprint.create () in
   (* 1. Rebuild the database from the snapshot (generation 0 = empty). *)
-  if gen > 0 then begin
+  let snap, gamma_fp =
+    if gen = 0 then (None, Fingerprint.create ())
+    else begin
     let manifest =
       try Snapshot.read_manifest ~dir ~gen ~expect_hash:schema_hash
       with Snapshot.Snapshot_error m -> fail "%s" m
@@ -302,14 +401,18 @@ let recover ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen config
     let lo, hi = manifest.Snapshot.m_out_lanes in
     Fingerprint.set_lanes out_digest ~lo ~hi;
     (* The restore oracle: the rebuilt stores must reproduce the
-       fingerprint recorded when the snapshot was taken. *)
-    let got = Engine.gamma_digest session in
+       fingerprint recorded when the snapshot was taken — for a delta
+       generation, the base's digest plus every run's lanes. *)
+    let fp = Engine.gamma_fingerprint session in
+    let got = Fingerprint.hex fp in
     if got <> manifest.Snapshot.m_gamma_digest then
       fail
         "%s: restored database fingerprint %s does not match snapshot \
          manifest %s"
-        dir got manifest.Snapshot.m_gamma_digest
-  end;
+        dir got manifest.Snapshot.m_gamma_digest;
+    (Some manifest, fp)
+    end
+  in
   (* 2. Decide how much of the WAL to trust. *)
   let path = wal_path_of dir gen in
   let records, tail =
@@ -345,21 +448,10 @@ let recover ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen config
      watermark. *)
   let feeds = ref 0 and drains = ref 0 and pending = ref 0 in
   let t =
-    {
-      dir;
-      session;
-      tables;
-      schema_hash;
-      policy;
-      checkpoint_every;
-      fork_base = read_fork_base dir;
-      out_digest;
-      gen;
-      wal = Wal.reopen path ~valid_to ~policy;
-      drains_since_ckpt = 0;
-      wal_records = List.length kept;
-      syncs_base = (0, 0);
-    }
+    make ~checkpoint_every ~policy ~dir ~tables ~schema_hash ~session
+      ~out_digest ~fork_base:(read_fork_base dir) ~gen
+      ~wal:(Wal.reopen path ~valid_to ~policy)
+      ~wal_records:(List.length kept) ~snap ~gamma_fp
   in
   List.iter
     (fun (record, off) ->
@@ -373,6 +465,7 @@ let recover ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen config
           pending := 0;
           let fresh = Engine.drain session in
           List.iter (Fingerprint.mix_string out_digest) fresh;
+          if fresh <> [] then t.fresh_out <- fresh :: t.fresh_out;
           check_watermark t wm ~at:off)
     kept;
   let tail_name =
@@ -416,47 +509,17 @@ let open_ ?(checkpoint_every = 0) ?(fsync = Wal.Always) ~dir frozen config =
           frozen config
       in
       write_current dir 0;
-      register_wal_metrics t;
+      register_metrics t;
       (t, Fresh)
   | Some gen ->
       let t, status =
         recover ~checkpoint_every ~policy ~dir ~tables ~schema_hash frozen
           config gen
       in
-      register_wal_metrics t;
+      register_metrics t;
       (t, status)
 
 (* -- branching -------------------------------------------------------- *)
-
-let link_or_copy src dst =
-  (* Snapshot files are immutable once written, so a hard link is a
-     zero-copy fork; fall back to a byte copy on filesystems without
-     link support. *)
-  try Unix.link src dst
-  with Unix.Unix_error ((Unix.EXDEV | Unix.EPERM | Unix.ENOSYS), _, _) ->
-    let b = Bytes.create 65536 in
-    let ifd = Unix.openfile src [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close ifd)
-      (fun () ->
-        let ofd =
-          Unix.openfile dst [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-        in
-        Fun.protect
-          ~finally:(fun () -> Unix.close ofd)
-          (fun () ->
-            let rec loop () =
-              let n = Unix.read ifd b 0 (Bytes.length b) in
-              if n > 0 then begin
-                let off = ref 0 in
-                while !off < n do
-                  off := !off + Unix.write ofd b !off (n - !off)
-                done;
-                loop ()
-              end
-            in
-            loop ();
-            Unix.fsync ofd))
 
 let fork t ~dir =
   let pending = Engine.session_pending t.session in
@@ -477,7 +540,7 @@ let fork t ~dir =
   mkdir_p dst_snap;
   Array.iter
     (fun f ->
-      link_or_copy (Filename.concat src_snap f) (Filename.concat dst_snap f))
+      Snapshot.link_or_copy (Filename.concat src_snap f) (Filename.concat dst_snap f))
     (Sys.readdir src_snap);
   (let dfd = Unix.openfile dst_snap [ Unix.O_RDONLY ] 0 in
    (try Unix.fsync dfd with Unix.Unix_error _ -> ());

@@ -12,8 +12,19 @@
     Directory layout:
     {v dir/CURRENT     "gen <n>" — atomically flipped pointer
        dir/wal-<n>.log  feeds + drain watermarks since snapshot <n>
-       dir/snap-<n>/    MANIFEST, seg-<table>.dat, outputs.dat v}
-    Generation 0 has no snapshot directory (empty database + log). *)
+       dir/snap-<n>/    MANIFEST, a base (seg-<table>.dat, outputs.dat)
+                        and delta runs (run-<g>-<table>.dat, out-<g>.dat) v}
+    Generation 0 has no snapshot directory (empty database + log).
+
+    Checkpoints are incremental: the session turns on the engine's
+    append log ({!Jstar_core.Engine.log_appends}), and a checkpoint
+    writes only the tuples and output lines added since the previous
+    one, hard-linking the rest, until the runs would outgrow the base;
+    then it rewrites everything as a new base.  Sessions with a custom
+    store always rewrite in full.  The metrics registry carries
+    [persist.checkpoints_full], [persist.checkpoints_delta],
+    [persist.checkpoint_tuples_written] and the [persist.snapshot_runs]
+    gauge beside the [wal.*] lanes. *)
 
 exception Recovery_error of string
 (** A digest, schema or manifest check failed during restore — the
@@ -54,8 +65,11 @@ val drain : t -> string list
     trigger an automatic checkpoint. *)
 
 val checkpoint : t -> unit
-(** Write snapshot generation [n+1], start a fresh log, flip [CURRENT],
-    delete generation [n].  Requires quiescence.
+(** Write snapshot generation [n+1] — a delta over generation [n] when
+    the delta runs would stay smaller than the base, else a full
+    rewrite — start a fresh log, flip [CURRENT], retire generation [n]
+    (unlinking its names; files [n+1] links survive).  Requires
+    quiescence.
     @raise Invalid_argument when tuples are still pending. *)
 
 val finish : t -> Jstar_core.Engine.result

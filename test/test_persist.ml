@@ -649,6 +649,313 @@ let prop_checkpoint_then_crash =
         QCheck.Test.fail_report "outputs diverge after restore";
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental checkpoints *)
+
+let counter d name =
+  match
+    Jstar_obs.Metrics.read (Engine.session_metrics (Durable.session d)) name
+  with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "metric %s not registered" name
+
+(* A long schedule of small feeds after one large one: with a
+   checkpoint after every drain, the runs outgrow the base several
+   times over, so it yields both delta and full generations. *)
+let long_schedule =
+  Batch (List.init 12 (fun i -> (100 + (2 * i), 101 + (2 * i))))
+  :: Drain
+  :: List.concat
+       (List.init 24 (fun k ->
+            [ Batch [ (k, k + 1); (k + 1, k + 2) ]; Batch [ (50 + k, 50) ]; Drain ]))
+
+(* The session state a restore must reproduce at a checkpoint. *)
+let observe session out_lanes =
+  (Engine.gamma_digest session, out_lanes, Engine.session_state session)
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  let rec go src dst =
+    Array.iter
+      (fun f ->
+        let s = Filename.concat src f and d = Filename.concat dst f in
+        if Sys.is_directory s then begin
+          Unix.mkdir d 0o755;
+          go s d
+        end
+        else
+          Out_channel.with_open_bin d (fun oc ->
+              output_string oc (In_channel.with_open_bin s In_channel.input_all)))
+      (Sys.readdir src)
+  in
+  go src dst
+
+let has_runs dir gen =
+  Array.exists
+    (fun f -> String.starts_with ~prefix:"run-" f)
+    (Sys.readdir (Filename.concat dir (Snapshot.dir_name gen)))
+
+let restore_equal ~what dir config want =
+  let fx = closure_fixture () in
+  let d, status = Durable.open_ ~dir (Program.freeze fx.f_program) config in
+  (match status with
+  | Durable.Restored _ -> ()
+  | Durable.Fresh -> Alcotest.failf "%s: expected a restore" what);
+  let gamma, lanes, state = want in
+  let g, l, st = observe (Durable.session d) (Durable.output_lanes d) in
+  Alcotest.(check string) (what ^ ": gamma digest") gamma g;
+  Alcotest.(check (pair int int)) (what ^ ": output lanes") lanes l;
+  Alcotest.(check (list string))
+    (what ^ ": outputs") state.Engine.ss_outputs st.Engine.ss_outputs;
+  Alcotest.(check bool) (what ^ ": session state") true (state = st);
+  d
+
+(* Every generation of a checkpoint-per-drain run, delta or full,
+   restores to exactly the uninterrupted run's state at that point.
+   [no_delta] moves Path's Gamma inserts into concurrent Phase B. *)
+let test_incremental_checkpoints ?(no_delta = []) threads () =
+  let dir = fresh_dir () in
+  let fx = closure_fixture () in
+  let frozen = Program.freeze fx.f_program in
+  let config_at n = { (config_of n) with Config.no_delta } in
+  let d, _ =
+    Durable.open_ ~checkpoint_every:1 ~fsync:Wal.Never ~dir frozen
+      (config_at threads)
+  in
+  let oracle = Engine.start frozen (config_at 1) in
+  let oracle_out = Fingerprint.create () in
+  let saved = ref [] in
+  List.iter
+    (fun ev ->
+      apply_durable fx d ev;
+      match ev with
+      | Batch edges -> Engine.feed oracle (List.map (edge_tuple fx) edges)
+      | Drain ->
+          List.iter (Fingerprint.mix_string oracle_out) (Engine.drain oracle);
+          let copy = dir ^ Printf.sprintf "-gen%d" (Durable.generation d) in
+          copy_dir dir copy;
+          saved :=
+            ( copy,
+              has_runs dir (Durable.generation d),
+              observe oracle (Fingerprint.lanes oracle_out) )
+            :: !saved)
+    long_schedule;
+  let full = counter d "persist.checkpoints_full"
+  and delta = counter d "persist.checkpoints_delta" in
+  Alcotest.(check bool) "took delta checkpoints" true (delta > 0);
+  Alcotest.(check bool) "took more than one full checkpoint" true (full > 1);
+  Alcotest.(check int) "one checkpoint per drain" (List.length !saved)
+    (full + delta);
+  Alcotest.(check int) "the delta generations carry run files" delta
+    (List.length (List.filter (fun (_, runs, _) -> runs) !saved));
+  ignore (Durable.finish d);
+  List.iter
+    (fun (copy, _, want) ->
+      ignore
+        (Durable.finish (restore_equal ~what:copy copy (config_at threads) want)))
+    !saved
+
+(* A flipped byte in a delta run fails its record CRC. *)
+let test_delta_run_bitflip () =
+  let dir = fresh_dir () in
+  let fx = closure_fixture () in
+  let events =
+    [ Batch (List.init 8 (fun i -> (2 * i, (2 * i) + 1))); Drain;
+      Batch [ (30, 31) ]; Drain ]
+  in
+  let t, _ = run_durable ~checkpoint_every:1 ~threads:1 dir fx events in
+  let gen = Durable.generation t in
+  ignore (Durable.finish t);
+  let run = Filename.concat (Filename.concat dir (Snapshot.dir_name gen))
+      (Printf.sprintf "run-%d-Path.dat" gen) in
+  Alcotest.(check bool) "the last generation is a delta" true
+    (Sys.file_exists run);
+  let fd = Unix.openfile run [ Unix.O_RDWR ] 0 in
+  let size = (Unix.fstat fd).Unix.st_size in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd (size - 6) Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x04));
+  ignore (Unix.lseek fd (size - 6) Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd;
+  let fx2 = closure_fixture () in
+  Alcotest.(check bool)
+    "restore refuses the corrupt run" true
+    (match Durable.open_ ~dir (Program.freeze fx2.f_program) (config_of 1) with
+    | exception Durable.Recovery_error _ -> true
+    | _ -> false)
+
+(* A crash after snap-(n+1) is on disk but before CURRENT flips: the
+   leftover hard-links generation n's files, generation n must restore,
+   and the next checkpoint must replace the leftover without harming
+   what it shared. *)
+let test_crash_before_flip () =
+  let dir = fresh_dir () in
+  let fx = closure_fixture () in
+  let events =
+    [ Batch (List.init 8 (fun i -> (2 * i, (2 * i) + 1))); Drain;
+      Batch [ (1, 2) ]; Drain ]
+  in
+  let t, _ = run_durable ~checkpoint_every:1 ~threads:1 dir fx events in
+  let gen = Durable.generation t in
+  let want = observe (Durable.session t) (Durable.output_lanes t) in
+  ignore (Durable.finish t);
+  let tables = Array.of_list (Program.schemas fx.f_program) in
+  let schema_hash = Codec.schema_hash tables in
+  let prev = Snapshot.read_manifest ~dir ~gen ~expect_hash:schema_hash in
+  let extra = edge_tuple fx (40, 41) in
+  ignore
+    (Snapshot.write_delta ~dir ~prev ~schema_hash
+       ~manifest_of:(fun ~runs ->
+         { prev with Snapshot.m_gen = gen + 1; m_runs = runs })
+       ~outputs:[ "path 40 41" ]
+       ~runs:[ (fx.f_edge, fun f -> f extra) ]);
+  Wal.close
+    (Wal.create
+       (Filename.concat dir (Printf.sprintf "wal-%d.log" (gen + 1)))
+       ~schema_hash ~policy:Wal.Never);
+  let d = restore_equal ~what:"unflipped generation" dir (config_of 2) want in
+  Alcotest.(check int) "restored generation n" gen (Durable.generation d);
+  Durable.feed d [ edge_tuple fx (2, 3) ];
+  ignore (Durable.drain d);
+  Durable.checkpoint d;
+  let want = observe (Durable.session d) (Durable.output_lanes d) in
+  ignore (Durable.finish d);
+  ignore
+    (Durable.finish
+       (restore_equal ~what:"after replacing the leftover" dir (config_of 1)
+          want))
+
+(* Windowed stores evict, so an append log cannot describe them: the
+   session checkpoints in full every time, and a restore holds exactly
+   the window the live store held. *)
+let test_windowed_full_only () =
+  let p = Program.create () in
+  let reading =
+    Program.table p "Reading"
+      ~columns:Schema.[ int_col "time"; int_col "value" ]
+      ~orderby:Schema.[ Lit "Int"; Seq "time" ]
+      ()
+  in
+  let seen =
+    Program.table p "Seen" ~columns:Schema.[ int_col "time" ]
+      ~orderby:Schema.[ Lit "Int"; Seq "time"; Lit "Seen" ]
+      ()
+  in
+  Program.rule p "see" ~trigger:reading
+    ~puts:[ Spec.put "Seen" ~ts:[ Spec.bind "time" (Spec.Field "time") ] ]
+    (fun ctx r -> ctx.Rule.put (Tuple.make seen [| Tuple.get r 0 |]));
+  let config =
+    {
+      (config_of 1) with
+      Config.stores =
+        [ ("Reading", Store.Custom (Store.windowed ~field:"time" ~width:2 Store.tree)) ];
+    }
+  in
+  let dir = fresh_dir () in
+  let frozen = Program.freeze p in
+  let d, _ = Durable.open_ ~checkpoint_every:1 ~fsync:Wal.Never ~dir frozen config in
+  for time = 0 to 9 do
+    Durable.feed d [ Tuple.make reading [| v_int time; v_int (10 * time) |] ];
+    ignore (Durable.drain d)
+  done;
+  Alcotest.(check int) "no delta checkpoints" 0
+    (counter d "persist.checkpoints_delta");
+  Alcotest.(check int) "every checkpoint full" 10
+    (counter d "persist.checkpoints_full");
+  let contents session schema =
+    let acc = ref [] in
+    (Engine.session_gamma session schema).Store.iter (fun t ->
+        acc := Tuple.show t :: !acc);
+    List.sort compare !acc
+  in
+  let live = contents (Durable.session d) reading in
+  Alcotest.(check int) "the live window holds two readings" 2
+    (List.length live);
+  let digest = Engine.gamma_digest (Durable.session d) in
+  ignore (Durable.finish d);
+  let d2, _ = Durable.open_ ~dir frozen config in
+  Alcotest.(check (list string)) "no evicted reading comes back" live
+    (contents (Durable.session d2) reading);
+  Alcotest.(check int) "the plain table keeps every tuple" 10
+    (List.length (contents (Durable.session d2) seen));
+  Alcotest.(check string) "gamma digest" digest
+    (Engine.gamma_digest (Durable.session d2));
+  ignore (Durable.finish d2)
+
+(* A directory written by the full-rewrite-only format (no run files),
+   committed as a fixture: it restores, replays its WAL suffix, and a
+   delta checkpoint can layer on top of its base. *)
+let test_restores_pre_delta_format () =
+  let dir = fresh_dir () in
+  Unix.rmdir dir;
+  copy_dir (Filename.concat "fixtures" "snapshot-v1") dir;
+  let fx = closure_fixture () in
+  let frozen = Program.freeze fx.f_program in
+  let oracle = Engine.start frozen (config_of 1) in
+  let oracle_out = Fingerprint.create () in
+  let feed edges = Engine.feed oracle (List.map (edge_tuple fx) edges) in
+  let drain () =
+    List.iter (Fingerprint.mix_string oracle_out) (Engine.drain oracle)
+  in
+  feed [ (0, 1); (1, 2); (20, 21); (22, 23); (24, 25); (26, 27) ];
+  drain ();
+  feed [ (2, 3) ];
+  drain ();
+  feed [ (3, 4) ];
+  drain ();
+  feed [ (5, 6) ];
+  let d, status = Durable.open_ ~dir frozen (config_of 2) in
+  (match status with
+  | Durable.Restored r ->
+      Alcotest.(check int) "from generation 1" 1 r.Durable.r_gen;
+      Alcotest.(check int) "one trailing feed pending" 1 r.Durable.r_pending
+  | Durable.Fresh -> Alcotest.fail "expected a restore");
+  drain ();
+  ignore (Durable.drain d);
+  let want = observe oracle (Fingerprint.lanes oracle_out) in
+  Alcotest.(check bool) "restored = uninterrupted" true
+    (observe (Durable.session d) (Durable.output_lanes d) = want);
+  Durable.checkpoint d;
+  Alcotest.(check int) "a delta over the old base" 1
+    (counter d "persist.checkpoints_delta");
+  ignore (Durable.finish d);
+  ignore
+    (Durable.finish
+       (restore_equal ~what:"delta over v1 base" dir (config_of 1) want))
+
+(* The checkpoint lanes count what each generation wrote. *)
+let test_checkpoint_counters () =
+  let dir = fresh_dir () in
+  let fx = closure_fixture () in
+  let events =
+    [ Batch (List.init 8 (fun i -> (2 * i, (2 * i) + 1))); Drain;
+      Batch [ (30, 31) ]; Drain; Batch [ (32, 33) ]; Drain ]
+  in
+  let t, _ = run_durable ~threads:1 dir fx events in
+  Alcotest.(check int) "no checkpoint yet" 0 (counter t "persist.checkpoints_full");
+  Durable.checkpoint t;
+  (* 8 Edge + 8 Path + 2 * (1 Edge + 1 Path) *)
+  Alcotest.(check int) "gen 0 -> 1 is full" 1 (counter t "persist.checkpoints_full");
+  Alcotest.(check int) "full writes all of Gamma" 20
+    (counter t "persist.checkpoint_tuples_written");
+  Alcotest.(check int) "no runs on a new base" 0
+    (counter t "persist.snapshot_runs");
+  Durable.feed t [ edge_tuple fx (34, 35) ];
+  ignore (Durable.drain t);
+  Durable.checkpoint t;
+  Alcotest.(check int) "then a delta" 1 (counter t "persist.checkpoints_delta");
+  Alcotest.(check int) "the delta writes only what was added" 22
+    (counter t "persist.checkpoint_tuples_written");
+  (* Edge run, Path run, output run *)
+  Alcotest.(check int) "three run files" 3 (counter t "persist.snapshot_runs");
+  Durable.checkpoint t;
+  Alcotest.(check int) "an idle checkpoint is an empty delta" 2
+    (counter t "persist.checkpoints_delta");
+  Alcotest.(check int) "runs carry over" 3 (counter t "persist.snapshot_runs");
+  ignore (Durable.finish t)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -677,6 +984,25 @@ let suite =
           test_corrupt_snapshot_detected;
         Alcotest.test_case "schema change refused" `Quick
           test_schema_change_detected;
+        Alcotest.test_case "incremental checkpoints restore, threads=1"
+          `Quick (test_incremental_checkpoints 1);
+        Alcotest.test_case "incremental checkpoints restore, threads=2"
+          `Quick (test_incremental_checkpoints 2);
+        Alcotest.test_case "incremental checkpoints restore, threads=4"
+          `Quick (test_incremental_checkpoints 4);
+        Alcotest.test_case
+          "incremental checkpoints restore, -noDelta Path, threads=4" `Quick
+          (test_incremental_checkpoints ~no_delta:[ "Path" ] 4);
+        Alcotest.test_case "bit flip in a delta run refused" `Quick
+          test_delta_run_bitflip;
+        Alcotest.test_case "crash before the CURRENT flip" `Quick
+          test_crash_before_flip;
+        Alcotest.test_case "windowed store checkpoints in full" `Quick
+          test_windowed_full_only;
+        Alcotest.test_case "pre-delta snapshot format restores" `Quick
+          test_restores_pre_delta_format;
+        Alcotest.test_case "checkpoint counters" `Quick
+          test_checkpoint_counters;
       ]
       @ qsuite
           [

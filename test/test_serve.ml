@@ -31,8 +31,8 @@ let rec rm_rf path =
     else Sys.remove path
 
 let with_server ?(max_sessions = 16) ?(max_connections = 16)
-    ?(feed_quota = 4096) ?(idle_timeout = 0.0) ?(engine = Config.default) f =
-  let root = fresh_root () in
+    ?(feed_quota = 4096) ?(idle_timeout = 0.0) ?(engine = Config.default)
+    ?(root = fresh_root ()) f =
   let server =
     Serve.Server.start
       {
@@ -432,6 +432,62 @@ let test_merge_refused_after_checkpoint () =
       | _ -> Alcotest.fail "merged a checkpoint-truncated divergence window");
       Serve.Client.close c)
 
+(* The one snapshot generation a session directory holds. *)
+let snap_dir dir =
+  match
+    List.filter
+      (fun f -> String.starts_with ~prefix:"snap-" f)
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [ g ] -> Filename.concat dir g
+  | l -> Alcotest.failf "%s: expected one snapshot, found %d" dir (List.length l)
+
+(* Branching a session whose snapshot is a base plus delta runs: the
+   fork shares every file by hard link, and branch -> feed -> merge
+   still lands on the single-session oracle. *)
+let test_branch_after_delta_checkpoints () =
+  let want = oracle_fingerprint ~engine:Config.default ~ticks:40 in
+  let root = fresh_root () in
+  with_server ~root (fun server ->
+      let port = Serve.Server.port server in
+      let c = Serve.Client.connect ~port frozen in
+      ignore (Serve.Client.open_session c "dc/main");
+      feed_range c ~from:0 ~ticks:15;
+      Serve.Client.checkpoint c;
+      (* 5 ticks over a 15-tick base: a delta *)
+      feed_range c ~from:15 ~ticks:5;
+      Serve.Client.checkpoint c;
+      feed_range c ~from:20 ~ticks:5;
+      (* the fork checkpoints the diverged log first: another delta *)
+      ignore (Serve.Client.branch c "dc/side");
+      let main_snap = snap_dir (Filename.concat root "dc/main")
+      and side_snap = snap_dir (Filename.concat root "dc/side") in
+      let files = Sys.readdir main_snap in
+      (* Tick, Reading, Alarm and output runs of two delta generations *)
+      Alcotest.(check int) "runs of two delta generations" 8
+        (List.length
+           (List.filter
+              (fun f ->
+                String.starts_with ~prefix:"run-" f
+                || String.starts_with ~prefix:"out-" f)
+              (Array.to_list files)));
+      Array.iter
+        (fun f ->
+          let ino d = (Unix.stat (Filename.concat d f)).Unix.st_ino in
+          Alcotest.(check int) (f ^ " shared by hard link") (ino main_snap)
+            (ino side_snap))
+        files;
+      let c2 = Serve.Client.connect ~port frozen in
+      ignore (Serve.Client.open_session c2 "dc/side");
+      feed_range c2 ~from:25 ~ticks:15;
+      Alcotest.check fp "branch alone = oracle" want
+        (fingerprint_of (Serve.Client.digest c2));
+      Serve.Client.close c2;
+      ignore (Serve.Client.merge c ~from:"dc/side");
+      Alcotest.check fp "merge = oracle" want
+        (fingerprint_of (Serve.Client.digest c));
+      Serve.Client.close c)
+
 let test_merge_conflicts () =
   with_server (fun server ->
       let port = Serve.Server.port server in
@@ -483,5 +539,7 @@ let suite =
           test_merge_conflicts;
         Alcotest.test_case "merge refused after source checkpoint" `Quick
           test_merge_refused_after_checkpoint;
+        Alcotest.test_case "branch after delta checkpoints = oracle" `Quick
+          test_branch_after_delta_checkpoints;
       ] );
   ]
