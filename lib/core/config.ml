@@ -57,10 +57,6 @@ type t = {
          amortized firing pipeline instead of one closure round-trip per
          tuple.  Within-class firing order is free under the law of
          causality, so digests/lineage/outputs are unchanged *)
-  specialized_compare : bool;
-      (* no-op, kept so existing configs build: the generic-comparator
-         path it used to toggle is retired and the schema-compiled
-         comparators + cached-hash dedup tables are the only path *)
   indexes : (string * int list) list;
       (* declared secondary indexes: table name -> prefix lengths,
          maintained at the Phase-A barrier (Store.indexed) *)
@@ -117,17 +113,6 @@ type t = {
          the live metrics registry — the CLI's --metrics-every periodic
          flush; keep it cheap, it runs on the driving domain inside the
          barrier *)
-  shards : int;
-      (* shared-nothing sharded execution: partition Gamma and Delta by
-         tuple hash into N single-owner shards; every Delta-bound put is
-         shipped to the owner shard's mailbox as a message and drained
-         at the step barrier (a cross-shard watermark exchange), so the
-         pending structures need no cross-domain locking at all.  0 =
-         unsharded (the pre-sharding code paths, unchanged); 1 = the
-         sharded machinery with a single shard (message path exercised,
-         useful for testing).  The causality law makes the class
-         sequence — and hence digests, outputs and lineage —
-         bit-identical to unsharded runs *)
 }
 
 let default =
@@ -140,7 +125,6 @@ let default =
     grain = Auto_grain;
     put_batching = false;
     batch_fire = false;
-    specialized_compare = true;
     indexes = [];
     agg_cache = false;
     advisor = None;
@@ -156,7 +140,6 @@ let default =
     digest = false;
     profile = false;
     step_hook = None;
-    shards = 0;
   }
 
 let sequential = default
@@ -213,8 +196,7 @@ let validate t =
       | Some _ -> ()
       | None -> raise (Invalid ("unknown span kind in trace_suppress: " ^ name)))
     t.trace_suppress;
-  if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1");
-  if t.shards < 0 then raise (Invalid "shards must be >= 0")
+  if t.trace_sample < 1 then raise (Invalid "trace_sample must be >= 1")
 
 (* The adaptive all-minimums granularity: coarse enough that fork/join
    overhead amortises, fine enough (4 leaves per worker) that stealing

@@ -55,11 +55,6 @@ type t = {
           [Delta.insert_batch].  Firing order within a class is
           unconstrained by the law of causality, so determinism digests,
           lineage and outputs are bit-identical to the per-tuple path *)
-  specialized_compare : bool;
-      (** No-op, kept for config compatibility: the generic-comparator
-          path it used to toggle was retired (the schema-compiled
-          comparators and cached-hash dedup tables are now the only
-          path — see EXPERIMENTS.md "Hot-path ablation"). *)
   indexes : (string * int list) list;
       (** declared secondary indexes (table name, prefix lengths),
           built empty at engine start and maintained at the Phase-A
@@ -122,17 +117,6 @@ type t = {
           the step number and live metrics registry — powers the CLI's
           [--metrics-every] periodic flush so crashed runs still leave
           a trail.  Runs inside the barrier: keep it cheap *)
-  shards : int;
-      (** shared-nothing sharded execution: partition Gamma and Delta
-          by tuple hash into [N] single-owner shards ({!Shard}).  Every
-          Delta-bound put is shipped to the owner shard's mailbox as a
-          message and drained at the step barrier — a cross-shard
-          watermark exchange (all mailboxes empty + all shards quiesced)
-          instead of locking shared pending structures.  [0] = unsharded
-          (the exact pre-sharding code paths); [1] = sharded machinery
-          with a single shard (message path exercised — useful for
-          testing).  Determinism digests, output streams and lineage are
-          bit-identical to unsharded runs (asserted by [test_shards]) *)
 }
 
 val default : t
@@ -158,8 +142,7 @@ val validate : t -> unit
 (** @raise Invalid for nonsensical combinations (0 threads, sequential
     structures with a multi-threaded pool, grain < 1, empty or
     non-positive index length lists, advisor thresholds out of range,
-    unknown kind names in [trace_suppress], [trace_sample < 1],
-    [shards < 0]). *)
+    unknown kind names in [trace_suppress], [trace_sample < 1]). *)
 
 val resolve_grain : t -> workers:int -> n:int -> int
 (** The fork/join leaf size for an [n]-iteration loop on [workers]

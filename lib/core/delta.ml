@@ -394,16 +394,6 @@ let insert t tuple ts =
     false
   end
 
-(* Counter-free re-insertion, for the cross-shard extraction merge:
-   losing candidates of a class merge go back into their owning shard's
-   tree.  They were extracted moments ago with nothing inserted since
-   (extraction runs with no concurrent operations), so a duplicate is
-   impossible, and the lifetime statistics must not move — every pending
-   tuple is counted exactly once at its original insert, keeping
-   [inserted_total] / [deduped_total] bit-comparable with unsharded
-   runs. *)
-let reinsert t tuple ts = ignore (insert_raw t tuple ts)
-
 (* -- batched insertion ---------------------------------------------- *)
 
 (* Descend (creating nodes as needed) along a timestamp; returns every

@@ -35,14 +35,6 @@ val insert_batch : t -> Tuple.t array -> Timestamp.t array -> int -> bool array
     first by input position wins.  Safe to run concurrently with
     {!insert}. *)
 
-val reinsert : t -> Tuple.t -> Timestamp.t -> unit
-(** Counter-free re-insertion for tuples just removed by
-    {!extract_min_class} that lost a cross-shard class merge
-    ({!Shard.extract_min_class}): puts the tuple back under its
-    timestamp without touching {!inserted_total} / {!deduped_total} —
-    every pending tuple is counted exactly once, at its original insert.
-    Single-threaded, like extraction. *)
-
 val extract_min_class : t -> Tuple.t list
 (** Remove and return all minimal tuples — one equivalence class of the
     causality order, including every subtree of [par] levels.  Returns

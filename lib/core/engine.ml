@@ -153,21 +153,10 @@ type state = {
       (* Config.put_batching: domain-striped buffers of pending Delta
          inserts, drained through Delta.insert_batch at the phase
          barriers (which already define class visibility, so buffering
-         inside a phase cannot change what any rule observes).  Under
-         Config.shards the layout becomes [stripe * nshards + dest]:
-         each (stripe, destination-shard) buffer flushes as exactly one
-         mailbox message, so stripes are sized per shard, not shared
-         across the whole grid *)
+         inside a phase cannot change what any rule observes) *)
   put_stripe_mask : int;
-      (* stripes - 1 (stripes is a power of two): the domain-id mask
-         selecting a stripe, independent of the put_bufs length (which
-         is stripes * nshards when sharded) *)
-  shard : Shard.t option;
-      (* Config.shards >= 1: shared-nothing sharded execution.  Gamma
-         and Delta are partitioned by tuple hash into single-owner
-         shards; every Delta-bound put ships to the owner's mailbox and
-         all mailboxes drain at the step barrier (the cross-shard
-         watermark exchange) before the next class is extracted *)
+      (* Array.length put_bufs - 1 (a power of two minus one): the
+         domain-id mask selecting a stripe *)
   current_ts : Timestamp.t option ref;
   processed : int ref;
   phases : phase_times;
@@ -232,8 +221,8 @@ type state = {
          Purely observational: never read by evaluation, so digests and
          deterministic counters are bit-identical with it on or off *)
   journal : Jstar_obs.Journal.t;
-      (* always-on structured event journal (step seals, watermark
-         rounds, advisor decisions, violations) — barrier-frequency
+      (* always-on structured event journal (step seals, drains,
+         advisor decisions, violations) — barrier-frequency
          mutex + small alloc, never read by evaluation *)
   last_violation : (string * Tuple.t list) option ref;
       (* set just before a Causality_violation raises: the message and
@@ -318,22 +307,6 @@ let make_state frozen config =
         else None)
       tables
   in
-  let shard =
-    if config.Config.shards >= 1 then begin
-      (* The extraction merge recomputes pending tuples' timestamps;
-         route it through the same memoised projection as the put path
-         so literal-only tables stay O(1). *)
-      let ts_of tuple =
-        match const_ts.((Tuple.schema tuple).Schema.id) with
-        | Some ts -> ts
-        | None -> Timestamp.of_tuple order tuple
-      in
-      Some
-        (Shard.create ~shards:config.Config.shards
-           ~nlits:frozen.Program.nlits ~ts_of ())
-    end
-    else None
-  in
   let gamma =
     Array.mapi
       (fun i s ->
@@ -344,69 +317,14 @@ let make_state frozen config =
             | Some lens -> lens
             | None -> []
           in
-          let is_custom =
-            match List.assoc_opt s.Schema.name config.Config.stores with
-            | Some (Store.Custom _) -> true
-            | _ -> false
-          in
-          match shard with
-          | Some sh when not is_custom ->
-              (* One sub-store per shard, each individually wrapped, so
-                 an owner task touches only its own shard's primary and
-                 indexes.  Custom stores keep their single instance —
-                 they manage their own lifetime and the router cannot
-                 split a handle-backed native array. *)
-              indexable.(i) <- true;
-              let n = Shard.count sh in
-              let wrap = declared <> [] || advisor_on in
-              let hsubs = Array.make n None in
-              let subs =
-                Array.init n (fun k ->
-                    let base, _ = store_for config ~parallel s in
-                    if wrap then begin
-                      let store, h =
-                        Store.indexed ~prefix_lens:declared s base
-                      in
-                      hsubs.(k) <- Some h;
-                      store
-                    end
-                    else base)
-              in
-              if wrap then begin
-                let hs = Array.map (fun h -> Option.get h) hsubs in
-                (* The combined handle fans promotions over every
-                   shard's index set; lens are uniform across shards by
-                   construction, so shard 0 answers for all. *)
-                handles.(i) <-
-                  Some
-                    {
-                      Store.ih_promote =
-                        (fun len ->
-                          Array.fold_left
-                            (fun acc h ->
-                              let r = h.Store.ih_promote len in
-                              acc || r)
-                            false hs);
-                      ih_demote =
-                        (fun len ->
-                          Array.fold_left
-                            (fun acc h ->
-                              let r = h.Store.ih_demote len in
-                              acc || r)
-                            false hs);
-                      ih_lens = (fun () -> hs.(0).Store.ih_lens ());
-                    }
-              end;
-              Shard.gamma_router ~owner:(Shard.owner_of sh) subs
-          | _ ->
-              let base, wrappable = store_for config ~parallel s in
-              indexable.(i) <- wrappable;
-              if wrappable && (declared <> [] || advisor_on) then begin
-                let store, h = Store.indexed ~prefix_lens:declared s base in
-                handles.(i) <- Some h;
-                store
-              end
-              else base
+          let base, wrappable = store_for config ~parallel s in
+          indexable.(i) <- wrappable;
+          if wrappable && (declared <> [] || advisor_on) then begin
+            let store, h = Store.indexed ~prefix_lens:declared s base in
+            handles.(i) <- Some h;
+            store
+          end
+          else base
         end)
       tables
   in
@@ -461,15 +379,6 @@ let make_state frozen config =
      with a floor of 8 measures no worse at every pool size. *)
   let put_stripes =
     Jstar_sched.Bits.next_pow2 (max 8 (2 * config.Config.threads))
-  in
-  (* Sharded layout: [stripe * nshards + dest] — each (stripe, shard)
-     buffer becomes one mailbox message at the flush, so stripes are
-     sized per shard rather than splitting one stripe set across all
-     destinations. *)
-  let put_buf_count =
-    match shard with
-    | Some sh -> put_stripes * Shard.count sh
-    | None -> put_stripes
   in
   let lineage =
     if config.Config.provenance then Some (Lineage.create ~stripes:put_stripes)
@@ -539,7 +448,7 @@ let make_state frozen config =
     outputs = ref [];
     outputs_count = ref 0;
     put_bufs =
-      Array.init put_buf_count (fun _ ->
+      Array.init put_stripes (fun _ ->
           {
             pb_mutex = Mutex.create ();
             pb_tuples = [||];
@@ -547,7 +456,6 @@ let make_state frozen config =
             pb_len = 0;
           });
     put_stripe_mask = put_stripes - 1;
-    shard;
     current_ts = ref None;
     processed = ref 0;
     phases = { t_extract = 0.0; t_gamma = 0.0; t_rules = 0.0 };
@@ -591,58 +499,14 @@ let make_state frozen config =
     appends = None;
   }
   in
-  (* Causal stamping observer: every mailbox post emits the send half
-     of a flow pair on the producing domain's ring, bound to the recv
-     half (emitted by the barrier drain) by the message's stamp. *)
-  (match st.shard with
-  | Some sh ->
-      Shard.set_on_post sh (fun ~src:_ ~dest ~seq ~len:_ ->
-          if st.trace_spans then
-            Jstar_obs.Tracer.flow_send st.obs
-              ~arg:(Jstar_obs.Tracer.shard_arg ~shard:dest ~seq)
-              Jstar_obs.Kind.shard_msg)
-  | None -> ());
   (* Pull-based registry sources: closures read live engine state only
      when a snapshot is taken, so registration costs nothing per put. *)
   Jstar_obs.Metrics.register_gauge metrics ~name:"delta.size" (fun () ->
-      Jstar_obs.Metrics.Int
-        (match st.shard with
-        | Some sh -> Shard.size sh
-        | None -> Delta.size st.delta));
+      Jstar_obs.Metrics.Int (Delta.size st.delta));
   Jstar_obs.Metrics.register_gauge metrics ~name:"delta.depth" (fun () ->
-      Jstar_obs.Metrics.Int
-        (match st.shard with
-        | Some sh -> Shard.depth sh
-        | None -> Delta.depth st.delta));
+      Jstar_obs.Metrics.Int (Delta.depth st.delta));
   Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_stripes"
     (fun () -> Jstar_obs.Metrics.Int (st.put_stripe_mask + 1));
-  (match st.shard with
-  | Some sh ->
-      let n = Shard.count sh in
-      Jstar_obs.Metrics.register_gauge metrics ~name:"shard.count" (fun () ->
-          Jstar_obs.Metrics.Int n);
-      Jstar_obs.Metrics.register_gauge metrics ~name:"shard.mailbox_backlog"
-        (fun () -> Jstar_obs.Metrics.Int (Shard.backlog_total sh));
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.msgs_posted"
-        (fun () -> Shard.msgs_posted sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.msgs_cross"
-        (fun () -> Shard.msgs_cross sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.tuples_shipped"
-        (fun () -> Shard.tuples_shipped sh);
-      Jstar_obs.Metrics.register_counter metrics ~name:"shard.tuples_cross"
-        (fun () -> Shard.tuples_cross sh);
-      for k = 0 to n - 1 do
-        Jstar_obs.Metrics.register_gauge metrics
-          ~name:(Printf.sprintf "shard.%d.delta_size" k)
-          (fun () -> Jstar_obs.Metrics.Int (Delta.size (Shard.delta sh k)));
-        Jstar_obs.Metrics.register_gauge metrics
-          ~name:(Printf.sprintf "shard.%d.mailbox_backlog" k)
-          (fun () -> Jstar_obs.Metrics.Int (Shard.backlogs sh).(k));
-        Jstar_obs.Metrics.register_counter metrics
-          ~name:(Printf.sprintf "shard.%d.msgs_posted" k)
-          (fun () -> Shard.msgs_posted_to sh k)
-      done
-  | None -> ());
   Jstar_obs.Metrics.register_gauge metrics ~name:"engine.put_buf_fill"
     (fun () ->
       Jstar_obs.Metrics.Int
@@ -906,125 +770,21 @@ let rec route_put st ctx tuple =
   else if st.gamma.(id).Store.mem tuple then
     (* Already processed: set semantics drop. *)
     Table_stats.incr c.Table_stats.gamma_dups
-  else
-    match st.shard with
-    | Some sh ->
-        (* Sharded mode defers every Delta-bound put, [put_batching] or
-           not: the (stripe, owner) buffer ships to the owner's mailbox
-           as one message at the barrier flush.  The [mem] precheck
-           stays valid — Gamma of a Delta-bound table only changes at
-           Phase A. *)
-        let stripe = (Domain.self () :> int) land st.put_stripe_mask in
-        put_buf_push
-          st.put_bufs.((stripe * Shard.count sh) + Shard.owner_of sh tuple)
-          tuple ts
-    | None ->
-        if st.config.Config.put_batching then
-          (* Defer to the barrier flush.  Gamma of a Delta-bound table
-             only changes at Phase A, so the [mem] precheck above cannot
-             go stale between here and the flush. *)
-          put_buf_push
-            st.put_bufs.((Domain.self () :> int) land st.put_stripe_mask)
-            tuple ts
-        else if Delta.insert st.delta tuple ts then
-          Table_stats.incr c.Table_stats.delta_inserts
-        else Table_stats.incr c.Table_stats.delta_dups
+  else if st.config.Config.put_batching then
+    (* Defer to the barrier flush.  Gamma of a Delta-bound table only
+       changes at Phase A, so the [mem] precheck above cannot go stale
+       between here and the flush. *)
+    put_buf_push
+      st.put_bufs.((Domain.self () :> int) land st.put_stripe_mask)
+      tuple ts
+  else if Delta.insert st.delta tuple ts then
+    Table_stats.incr c.Table_stats.delta_inserts
+  else Table_stats.incr c.Table_stats.delta_dups
 
 and flush_puts st =
   (* Drain the striped put buffers into Delta in one sorted batch.
      Runs only at barriers (after initial puts, at the end of each
-     step), never concurrently with rule tasks.  Sharded mode replaces
-     the direct Delta flush with the watermark exchange: every
-     (stripe, shard) buffer ships as one mailbox message, then each
-     owner drains its own mailbox into its own sequential Delta — one
-     task per shard, no cross-domain contention on the trees. *)
-  match st.shard with
-  | Some sh ->
-      let flush_t0 =
-        if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0
-      in
-      let pending =
-        if st.trace_spans then
-          Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs
-        else 0
-      in
-      let n = Shard.count sh in
-      Array.iteri
-        (fun idx b ->
-          if b.pb_len > 0 then begin
-            (* The message takes ownership of fresh copies; the buffer
-               keeps its capacity for the next step, as in the
-               unsharded flush. *)
-            Shard.post sh ~from:(-1) ~dest:(idx mod n)
-              (Array.sub b.pb_tuples 0 b.pb_len)
-              (Array.sub b.pb_ts 0 b.pb_len)
-              b.pb_len;
-            b.pb_len <- 0
-          end)
-        st.put_bufs;
-      (* All producers have posted (Phase B is over — this runs at the
-         barrier), so one drain round reaches quiescence: draining only
-         inserts into the owner's Delta, never posts. *)
-      let ntab = Array.length st.gamma in
-      let drain_one k =
-        let d0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-        let delta = Shard.delta sh k in
-        let ins = Array.make ntab 0 and dup = Array.make ntab 0 in
-        let any = ref false and nmsgs = ref 0 in
-        Shard.drain sh k ~f:(fun m ->
-            any := true;
-            incr nmsgs;
-            (* the recv half of the causal flow pair, on the draining
-               domain's ring; the exporter re-routes it onto shard [k]'s
-               named track and binds it to the send by the stamp *)
-            if st.trace_spans then
-              Jstar_obs.Tracer.flow_recv st.obs
-                ~arg:(Jstar_obs.Tracer.shard_arg ~shard:k ~seq:m.Shard.m_seq)
-                Jstar_obs.Kind.shard_msg;
-            let res =
-              Delta.insert_batch delta m.Shard.m_tuples m.Shard.m_ts
-                m.Shard.m_len
-            in
-            for i = 0 to m.Shard.m_len - 1 do
-              let id = (Tuple.schema m.Shard.m_tuples.(i)).Schema.id in
-              if res.(i) then ins.(id) <- ins.(id) + 1
-              else dup.(id) <- dup.(id) + 1
-            done);
-        if !any then begin
-          for id = 0 to ntab - 1 do
-            if ins.(id) > 0 || dup.(id) > 0 then begin
-              let c = Table_stats.counters st.stats id in
-              Table_stats.add c.Table_stats.delta_inserts ins.(id);
-              Table_stats.add c.Table_stats.delta_dups dup.(id)
-            end
-          done;
-          if st.trace_spans then
-            Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.shard_drain
-              ~arg:(Jstar_obs.Tracer.shard_arg ~shard:k ~seq:!nmsgs)
-              ~ts:d0
-              ~dur:(Jstar_obs.Monotonic.now_ns () - d0)
-        end
-      in
-      (match st.pool with
-      | Some pool when n > 1 ->
-          Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0 ~hi:n
-            drain_one
-      | _ ->
-          for k = 0 to n - 1 do
-            drain_one k
-          done);
-      assert (Shard.quiesced sh);
-      Jstar_obs.Journal.debug st.journal ~comp:"shard" ~event:"watermark"
-        [
-          ("step", Jstar_obs.Json.Num (float_of_int !(st.step_no)));
-          ( "msgs_posted",
-            Jstar_obs.Json.Num (float_of_int (Shard.msgs_posted sh)) );
-        ];
-      if st.trace_spans then
-        Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.barrier_flush
-          ~arg:pending ~ts:flush_t0
-          ~dur:(Jstar_obs.Monotonic.now_ns () - flush_t0)
-  | None ->
+     step), never concurrently with rule tasks. *)
   if st.config.Config.put_batching then begin
     (* Stripes hold disjoint items and [Delta.insert_batch] is safe
        under concurrent insertion, so each stripe can flush as its own
@@ -1076,59 +836,28 @@ and fire_rules st ctx tuple =
   | rules ->
       let c = Table_stats.counters st.stats id in
       let t0 = if st.counters_on then Jstar_obs.Monotonic.now_ns () else 0 in
-      (if st.prov_or_audit then begin
+      let fire r =
+        Table_stats.incr c.Table_stats.triggers;
+        match st.profiler with
+        | Some p ->
+            let p0 = Jstar_obs.Profiler.fire_start p in
+            r.Rule.body ctx tuple;
+            Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
+        | None -> r.Rule.body ctx tuple
+      in
+      (if st.prov_or_audit then
          (* Save/restore the domain's firing frame rather than just
             setting it: -noDelta puts fire rules synchronously inside
             the putting task, and a blocking fork/join join can run a
             stolen firing — both nest on one domain. *)
-         let fr = Prov_frame.get () in
-         let s_rule = fr.Prov_frame.rule
-         and s_now = fr.Prov_frame.now
-         and s_bound = fr.Prov_frame.bound
-         and s_past = fr.Prov_frame.past in
          let now = Some (timestamp_of st id tuple) in
-         let restore () =
-           fr.Prov_frame.rule <- s_rule;
-           fr.Prov_frame.now <- s_now;
-           fr.Prov_frame.bound <- s_bound;
-           fr.Prov_frame.past <- s_past
-         in
-         try
-           List.iter
-             (fun r ->
-               Table_stats.incr c.Table_stats.triggers;
-               fr.Prov_frame.rule <- r.Rule.rid;
-               fr.Prov_frame.now <- now;
-               fr.Prov_frame.bound <- [ tuple ];
-               fr.Prov_frame.past <- [];
-               match st.profiler with
-               | Some p ->
-                   let p0 = Jstar_obs.Profiler.fire_start p in
-                   r.Rule.body ctx tuple;
-                   Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
-               | None -> r.Rule.body ctx tuple)
-             rules;
-           restore ()
-         with e ->
-           restore ();
-           raise e
-       end
-       else
-         match st.profiler with
-         | Some p ->
+         Prov_frame.with_frame (fun fr ->
              List.iter
                (fun r ->
-                 Table_stats.incr c.Table_stats.triggers;
-                 let p0 = Jstar_obs.Profiler.fire_start p in
-                 r.Rule.body ctx tuple;
-                 Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0)
-               rules
-         | None ->
-             List.iter
-               (fun r ->
-                 Table_stats.incr c.Table_stats.triggers;
-                 r.Rule.body ctx tuple)
-               rules);
+                 Prov_frame.enter fr ~rule:r.Rule.rid ~now tuple;
+                 fire r)
+               rules)
+       else List.iter fire rules);
       if st.counters_on then begin
         let dur = Jstar_obs.Monotonic.now_ns () - t0 in
         Jstar_obs.Metrics.observe st.h_rule_latency (float_of_int dur *. 1e-9);
@@ -1210,19 +939,8 @@ let release_scratch st sc =
   st.scratch_free := sc :: !(st.scratch_free);
   Mutex.unlock st.scratch_mutex
 
-let flush_scratch st ~home sc =
+let flush_scratch st sc =
   if sc.sc_len > 0 then begin
-    match st.shard with
-    | Some sh ->
-        (* Sharded: the arena repartitions by owner and ships one
-           message per destination — tuples owned by [home] loop back
-           through its own mailbox (cheap, and it keeps the
-           single-owner invariant on the trees unconditional).  Stats
-           are counted at the drain, where the insert outcome is
-           known. *)
-        Shard.post_partitioned sh ~from:home sc.sc_tuples sc.sc_ts sc.sc_len;
-        sc.sc_len <- 0
-    | None ->
     (* [Delta.insert_batch] is safe under concurrent insertion, so
        chunk tasks flush without coordination; stats are aggregated per
        table first, as in the stripe flush. *)
@@ -1248,7 +966,7 @@ let flush_scratch st ~home sc =
    lineage, audit, runtime check, -noDelta immediate fire, Gamma
    dedup), but pending Delta inserts sink into the task-owned scratch
    arena with plain stores instead of a striped mutex push. *)
-let route_put_batch st bctx scratch ~home tuple =
+let route_put_batch st bctx scratch tuple =
   let schema = Tuple.schema tuple in
   let id = schema.Schema.id in
   let c = Table_stats.counters st.stats id in
@@ -1285,7 +1003,7 @@ let route_put_batch st bctx scratch ~home tuple =
   else begin
     scratch_push scratch tuple ts;
     if scratch.sc_len >= scratch_flush_threshold then
-      flush_scratch st ~home scratch
+      flush_scratch st scratch
   end
 
 (* Firing context for one batched chunk task.  Positive queries go
@@ -1298,13 +1016,13 @@ let route_put_batch st bctx scratch ~home tuple =
    tables (Gamma grows at Phase-A barriers only, never evicts —
    [st.probe_ok]) may serve cached items; everything else falls through
    to a plain scan. *)
-let make_batch_ctx st base scratch ~home =
+let make_batch_ctx st base scratch =
   let nt = Array.length st.gamma in
   let cur_prefix : Value.t array option array = Array.make nt None in
   let cur_items : Tuple.t list array = Array.make nt [] in
   let rec bctx =
     {
-      Rule.put = (fun tuple -> route_put_batch st bctx scratch ~home tuple);
+      Rule.put = (fun tuple -> route_put_batch st bctx scratch tuple);
       iter_prefix =
         (fun schema prefix f ->
           let id = schema.Schema.id in
@@ -1359,11 +1077,8 @@ let key_cmp pos a b =
   in
   go 0
 
-(* Fire rule [r] for [chunk.(lo..hi-1)] as one task.  [home] is the
-   task's owner shard under sharded execution ([-1] unsharded): scratch
-   flushes repartition by owner and ship from [home], so the cross-shard
-   message counters attribute traffic to the producing shard. *)
-let fire_chunk st base r id ~home chunk lo hi =
+(* Fire rule [r] for [chunk.(lo..hi-1)] as one task. *)
+let fire_chunk st base r id chunk lo hi =
   let t0 = if st.trace_batch_fire then Jstar_obs.Monotonic.now_ns () else 0 in
   (* One profiler frame for the whole chunk, credited [hi - lo] firings:
      batching amortises the bracket the same way it amortises every
@@ -1376,47 +1091,27 @@ let fire_chunk st base r id ~home chunk lo hi =
     | None -> 0
   in
   let scratch = acquire_scratch st in
-  let bctx = make_batch_ctx st base scratch ~home in
+  let bctx = make_batch_ctx st base scratch in
   (if st.prov_or_audit then begin
-     let fr = Prov_frame.get () in
-     let s_rule = fr.Prov_frame.rule
-     and s_now = fr.Prov_frame.now
-     and s_bound = fr.Prov_frame.bound
-     and s_past = fr.Prov_frame.past in
-     let restore () =
-       fr.Prov_frame.rule <- s_rule;
-       fr.Prov_frame.now <- s_now;
-       fr.Prov_frame.bound <- s_bound;
-       fr.Prov_frame.past <- s_past
-     in
      let mk_now =
        match st.const_ts.(id) with
        | Some _ as s -> fun _ -> s
        | None -> fun t -> Some (Timestamp.of_tuple st.order t)
      in
-     try
-       for i = lo to hi - 1 do
-         let t = chunk.(i) in
-         fr.Prov_frame.rule <- r.Rule.rid;
-         fr.Prov_frame.now <- mk_now t;
-         fr.Prov_frame.bound <- [ t ];
-         fr.Prov_frame.past <- [];
-         r.Rule.body bctx t
-       done;
-       restore ()
-     with e ->
-       restore ();
-       raise e
+     Prov_frame.with_frame (fun fr ->
+         for i = lo to hi - 1 do
+           let t = chunk.(i) in
+           Prov_frame.enter fr ~rule:r.Rule.rid ~now:(mk_now t) t;
+           r.Rule.body bctx t
+         done)
    end
    else
      for i = lo to hi - 1 do
        r.Rule.body bctx chunk.(i)
      done);
-  flush_scratch st ~home scratch;
+  flush_scratch st scratch;
   if scratch.sc_dups > 0 then begin
-    (match st.shard with
-    | Some sh -> Shard.note_deduped sh scratch.sc_dups
-    | None -> Delta.note_deduped st.delta scratch.sc_dups);
+    Delta.note_deduped st.delta scratch.sc_dups;
     scratch.sc_dups <- 0
   end;
   Tuple.Dset.clear scratch.sc_seen;
@@ -1461,75 +1156,18 @@ let fire_rules_batch st ctx to_fire =
                   (copy, 0, width)
               | _ -> (to_fire, rlo, rhi)
             in
-            let dispatch ~home arr clo chi =
-              match st.pool with
-              | Some pool when chi - clo > 1 ->
-                  let grain = Jstar_sched.Pool.batch_grain pool ~n:width in
-                  let nchunks = (chi - clo + grain - 1) / grain in
-                  if nchunks <= 1 then fire_chunk st ctx r id ~home arr clo chi
-                  else
-                    Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-                      ~hi:nchunks (fun k ->
-                        let tlo = clo + (k * grain) in
-                        let thi = min chi (tlo + grain) in
-                        fire_chunk st ctx r id ~home arr tlo thi)
-              | _ -> fire_chunk st ctx r id ~home arr clo chi
-            in
-            match st.shard with
-            | Some sh when Shard.count sh > 1 ->
-                (* Per-(rule, table, shard) tasks: stable-partition the
-                   (already join-key-sorted) run by owner shard so each
-                   chunk has a home — sorted order survives within each
-                   segment, so the probe cursor still sees equal keys
-                   back to back. *)
-                let nsh = Shard.count sh in
-                let starts = Array.make (nsh + 1) 0 in
-                for i = clo to chi - 1 do
-                  let o = Shard.owner_of sh arr.(i) in
-                  starts.(o + 1) <- starts.(o + 1) + 1
-                done;
-                for k = 0 to nsh - 1 do
-                  starts.(k + 1) <- starts.(k) + starts.(k + 1)
-                done;
-                let part = Array.make width arr.(clo) in
-                let fill = Array.copy starts in
-                for i = clo to chi - 1 do
-                  let o = Shard.owner_of sh arr.(i) in
-                  part.(fill.(o)) <- arr.(i);
-                  fill.(o) <- fill.(o) + 1
-                done;
-                (match st.pool with
-                | Some pool when width > 1 ->
-                    let grain = Jstar_sched.Pool.batch_grain pool ~n:width in
-                    let tasks = ref [] in
-                    for k = 0 to nsh - 1 do
-                      let shi = starts.(k + 1) in
-                      let tlo = ref starts.(k) in
-                      while !tlo < shi do
-                        let thi = min shi (!tlo + grain) in
-                        tasks := (k, !tlo, thi) :: !tasks;
-                        tlo := thi
-                      done
-                    done;
-                    let tasks = Array.of_list !tasks in
-                    if Array.length tasks <= 1 then
-                      Array.iter
-                        (fun (home, tlo, thi) ->
-                          fire_chunk st ctx r id ~home part tlo thi)
-                        tasks
-                    else
-                      Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
-                        ~hi:(Array.length tasks) (fun i ->
-                          let home, tlo, thi = tasks.(i) in
-                          fire_chunk st ctx r id ~home part tlo thi)
-                | _ ->
-                    for k = 0 to nsh - 1 do
-                      if starts.(k + 1) > starts.(k) then
-                        fire_chunk st ctx r id ~home:k part starts.(k)
-                          starts.(k + 1)
-                    done)
-            | Some _ -> dispatch ~home:0 arr clo chi
-            | None -> dispatch ~home:(-1) arr clo chi)
+            match st.pool with
+            | Some pool when chi - clo > 1 ->
+                let grain = Jstar_sched.Pool.batch_grain pool ~n:width in
+                let nchunks = (chi - clo + grain - 1) / grain in
+                if nchunks <= 1 then fire_chunk st ctx r id arr clo chi
+                else
+                  Jstar_sched.Forkjoin.parallel_for pool ~grain:1 ~lo:0
+                    ~hi:nchunks (fun k ->
+                      let tlo = clo + (k * grain) in
+                      let thi = min chi (tlo + grain) in
+                      fire_chunk st ctx r id arr tlo thi)
+            | _ -> fire_chunk st ctx r id arr clo chi)
           rules);
     lo := rhi
   done
@@ -1557,50 +1195,36 @@ let make_ctx st =
       class_ts = (fun () -> !(st.current_ts));
       par_iter =
         (fun lo hi f ->
-          match st.pool with
-          | Some pool when hi - lo > 1 ->
-              let grain =
-                Config.resolve_grain st.config
-                  ~workers:(Jstar_sched.Pool.size pool) ~n:(hi - lo)
-              in
-              let f =
-                if not st.prov_or_audit then f
-                else begin
-                  (* Leaves may run on other domains: carry the firing
-                     frame (rule, trigger time, bindings so far) to the
-                     executing domain for each leaf, restoring whatever
-                     firing that domain had in flight. *)
-                  let fr = Prov_frame.get () in
-                  let rule = fr.Prov_frame.rule
-                  and now = fr.Prov_frame.now
-                  and bound = fr.Prov_frame.bound
-                  and strict = fr.Prov_frame.strict
-                  and past = fr.Prov_frame.past in
-                  fun i ->
-                    let cfr = Prov_frame.get () in
-                    let s_rule = cfr.Prov_frame.rule
-                    and s_now = cfr.Prov_frame.now
-                    and s_bound = cfr.Prov_frame.bound
-                    and s_strict = cfr.Prov_frame.strict
-                    and s_past = cfr.Prov_frame.past in
+          let f =
+            if not st.prov_or_audit then f
+            else begin
+              (* Every leaf runs from the firing frame as it was at the
+                 call (rule, trigger time, bindings so far), on whichever
+                 domain executes it, and leaves that frame as it found
+                 it.  One leaf's completed scans are therefore never
+                 another leaf's parents, so lineage is the same whether
+                 the leaves run in parallel or in turn on one domain. *)
+              let fr = Prov_frame.get () in
+              let rule = fr.Prov_frame.rule
+              and now = fr.Prov_frame.now
+              and bound = fr.Prov_frame.bound
+              and strict = fr.Prov_frame.strict
+              and past = fr.Prov_frame.past in
+              fun i ->
+                Prov_frame.with_frame (fun cfr ->
                     cfr.Prov_frame.rule <- rule;
                     cfr.Prov_frame.now <- now;
                     cfr.Prov_frame.bound <- bound;
                     cfr.Prov_frame.strict <- strict;
                     cfr.Prov_frame.past <- past;
-                    let restore () =
-                      cfr.Prov_frame.rule <- s_rule;
-                      cfr.Prov_frame.now <- s_now;
-                      cfr.Prov_frame.bound <- s_bound;
-                      cfr.Prov_frame.strict <- s_strict;
-                      cfr.Prov_frame.past <- s_past
-                    in
-                    (match f i with
-                    | () -> restore ()
-                    | exception e ->
-                        restore ();
-                        raise e)
-                end
+                    f i)
+            end
+          in
+          match st.pool with
+          | Some pool when hi - lo > 1 ->
+              let grain =
+                Config.resolve_grain st.config
+                  ~workers:(Jstar_sched.Pool.size pool) ~n:(hi - lo)
               in
               Jstar_sched.Forkjoin.parallel_for pool ~grain ~lo ~hi f
           | _ ->
@@ -1651,28 +1275,11 @@ let run_class_effects st ctx tuples =
         | None -> ());
         match st.frozen.Program.action_of.(id) with
         | Some handler ->
-            if st.prov_or_audit then begin
-              let fr = Prov_frame.get () in
-              let s_rule = fr.Prov_frame.rule
-              and s_now = fr.Prov_frame.now
-              and s_bound = fr.Prov_frame.bound
-              and s_past = fr.Prov_frame.past in
-              fr.Prov_frame.rule <- Prov_frame.action_rule;
-              fr.Prov_frame.now <- Some (timestamp_of st id t);
-              fr.Prov_frame.bound <- [ t ];
-              fr.Prov_frame.past <- [];
-              let restore () =
-                fr.Prov_frame.rule <- s_rule;
-                fr.Prov_frame.now <- s_now;
-                fr.Prov_frame.bound <- s_bound;
-                fr.Prov_frame.past <- s_past
-              in
-              match handler ctx t with
-              | () -> restore ()
-              | exception e ->
-                  restore ();
-                  raise e
-            end
+            if st.prov_or_audit then
+              Prov_frame.with_frame (fun fr ->
+                  Prov_frame.enter fr ~rule:Prov_frame.action_rule
+                    ~now:(Some (timestamp_of st id t)) t;
+                  handler ctx t)
             else handler ctx t
         | None -> ())
       sorted
@@ -1842,28 +1449,11 @@ let run_step st ctx tuples =
           | Some p -> Jstar_obs.Profiler.fire_start p
           | None -> 0
         in
-        (if st.prov_or_audit then begin
-           let fr = Prov_frame.get () in
-           let s_rule = fr.Prov_frame.rule
-           and s_now = fr.Prov_frame.now
-           and s_bound = fr.Prov_frame.bound
-           and s_past = fr.Prov_frame.past in
-           fr.Prov_frame.rule <- r.Rule.rid;
-           fr.Prov_frame.now <- Some (timestamp_of st id t);
-           fr.Prov_frame.bound <- [ t ];
-           fr.Prov_frame.past <- [];
-           let restore () =
-             fr.Prov_frame.rule <- s_rule;
-             fr.Prov_frame.now <- s_now;
-             fr.Prov_frame.bound <- s_bound;
-             fr.Prov_frame.past <- s_past
-           in
-           match r.Rule.body ctx t with
-           | () -> restore ()
-           | exception e ->
-               restore ();
-               raise e
-         end
+        (if st.prov_or_audit then
+           Prov_frame.with_frame (fun fr ->
+               Prov_frame.enter fr ~rule:r.Rule.rid
+                 ~now:(Some (timestamp_of st id t)) t;
+               r.Rule.body ctx t)
          else r.Rule.body ctx t);
         (match st.profiler with
         | Some p -> Jstar_obs.Profiler.fire_stop p ~rule:r.Rule.rid p0
@@ -1941,21 +1531,7 @@ let run_step st ctx tuples =
             })
           st.pool
       in
-      let shards =
-        Option.map
-          (fun sh ->
-            {
-              Jstar_obs.Profiler.sh_occupancy = Shard.occupancy sh;
-              sh_backlog = Shard.backlogs sh;
-              sh_msgs = Shard.msgs_posted sh;
-              sh_msgs_cross = Shard.msgs_cross sh;
-              sh_tuples = Shard.tuples_shipped sh;
-              sh_tuples_cross = Shard.tuples_cross sh;
-            })
-          st.shard
-      in
-      Jstar_obs.Profiler.step_barrier p ~puts ~queries ~gamma:gsize ?sched
-        ?shards ()
+      Jstar_obs.Profiler.step_barrier p ~puts ~queries ~gamma:gsize ?sched ()
   | None -> ());
   (* Step seal: the step's identity in the journal — Debug severity, so
      a Warn-filtered journal keeps only transitions and violations. *)
@@ -2004,24 +1580,6 @@ let compute_digest st =
       }
   end
 
-(* Pending-structure accessors that dispatch on the execution mode:
-   sharded state lives in the per-shard trees, unsharded in the one
-   global Delta. *)
-let extract_class st =
-  match st.shard with
-  | Some sh -> Shard.extract_min_class sh
-  | None -> Delta.extract_min_class st.delta
-
-let pending_inserted st =
-  match st.shard with
-  | Some sh -> Shard.inserted_total sh
-  | None -> Delta.inserted_total st.delta
-
-let pending_deduped st =
-  match st.shard with
-  | Some sh -> Shard.deduped_total sh
-  | None -> Delta.deduped_total st.delta
-
 let run_state st ~init =
   let t_start = now () in
   let ctx = make_ctx st in
@@ -2033,7 +1591,7 @@ let run_state st ~init =
   let rec loop () =
     let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
     let t0 = now () in
-    let klass = extract_class st in
+    let klass = Delta.extract_min_class st.delta in
     st.phases.t_extract <- st.phases.t_extract +. (now () -. t0);
     if st.trace_spans then
       Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.extract
@@ -2055,8 +1613,8 @@ let run_state st ~init =
     steps = !steps;
     tuples_processed = !(st.processed);
     elapsed = now () -. t_start;
-    delta_inserted = pending_inserted st;
-    delta_deduped = pending_deduped st;
+    delta_inserted = Delta.inserted_total st.delta;
+    delta_deduped = Delta.deduped_total st.delta;
     stats = st.stats;
     phases = st.phases;
     tracer = st.obs;
@@ -2113,7 +1671,7 @@ let drain session =
   flush_step_outputs st;
   let rec loop () =
     let e0 = if st.trace_spans then Jstar_obs.Monotonic.now_ns () else 0 in
-    let klass = extract_class st in
+    let klass = Delta.extract_min_class st.delta in
     if st.trace_spans then
       Jstar_obs.Tracer.record_span st.obs Jstar_obs.Kind.extract
         ~arg:(List.length klass) ~ts:e0
@@ -2169,33 +1727,7 @@ let session_journal session = session.st.journal
 let session_violation session = !(session.st.last_violation)
 
 let session_delta session =
-  match session.st.shard with
-  | Some sh -> (Shard.size sh, Shard.depth sh)
-  | None -> (Delta.size session.st.delta, Delta.depth session.st.delta)
-
-type shard_stats = {
-  sh_count : int;
-  sh_occupancy : int array;
-  sh_backlog : int array;
-  sh_msgs_posted : int;
-  sh_msgs_cross : int;
-  sh_tuples_shipped : int;
-  sh_tuples_cross : int;
-}
-
-let session_shards session =
-  Option.map
-    (fun sh ->
-      {
-        sh_count = Shard.count sh;
-        sh_occupancy = Shard.occupancy sh;
-        sh_backlog = Shard.backlogs sh;
-        sh_msgs_posted = Shard.msgs_posted sh;
-        sh_msgs_cross = Shard.msgs_cross sh;
-        sh_tuples_shipped = Shard.tuples_shipped sh;
-        sh_tuples_cross = Shard.tuples_cross sh;
-      })
-    session.st.shard
+  (Delta.size session.st.delta, Delta.depth session.st.delta)
 
 let finish session =
   if not session.finished then begin
@@ -2211,8 +1743,8 @@ let finish session =
     steps = session.session_steps;
     tuples_processed = !(session.st.processed);
     elapsed = 0.0;
-    delta_inserted = pending_inserted session.st;
-    delta_deduped = pending_deduped session.st;
+    delta_inserted = Delta.inserted_total session.st.delta;
+    delta_deduped = Delta.deduped_total session.st.delta;
     stats = session.st.stats;
     phases = session.st.phases;
     tracer = session.st.obs;
@@ -2280,9 +1812,7 @@ let load_tuple session tuple =
 
 let session_pending session =
   let st = session.st in
-  (match st.shard with
-  | Some sh -> Shard.size sh + Shard.backlog_total sh
-  | None -> Delta.size st.delta)
+  Delta.size st.delta
   + Array.fold_left (fun acc b -> acc + b.pb_len) 0 st.put_bufs
 
 let stored_tables session =

@@ -122,8 +122,8 @@ val session_frozen : session -> Program.frozen
     parsing). *)
 
 val session_journal : session -> Jstar_obs.Journal.t
-(** The always-on structured event journal (step seals, watermark
-    rounds, advisor decisions, violations) — the flight recorder's
+(** The always-on structured event journal (step seals, drains,
+    advisor decisions, violations) — the flight recorder's
     first bundle section and a [/dump] input.  Safe-stale monitoring
     reads, like every accessor here. *)
 
@@ -134,23 +134,7 @@ val session_violation : session -> (string * Tuple.t list) option
     violation occurs. *)
 
 val session_delta : session -> int * int
-(** Current pending (size, depth) — heartbeat fields.  Under sharded
-    execution, summed (size) / maxed (depth) over the shard trees. *)
-
-type shard_stats = {
-  sh_count : int;
-  sh_occupancy : int array;  (** per-shard pending tuples *)
-  sh_backlog : int array;  (** per-shard queued mailbox messages *)
-  sh_msgs_posted : int;
-  sh_msgs_cross : int;
-  sh_tuples_shipped : int;
-  sh_tuples_cross : int;
-}
-
-val session_shards : session -> shard_stats option
-(** Sharded-execution occupancy and message counters ([/health] extras,
-    bench assertions); [None] when [Config.shards = 0].  Safe-stale
-    reads from a monitoring thread, like every accessor above. *)
+(** Current pending (size, depth) — heartbeat fields. *)
 
 (** {1 Durability hooks}
 

@@ -66,3 +66,36 @@ let with_strict f =
   | exception e ->
       exit_strict fr;
       raise e
+
+(* Save this domain's frame, run [f] on it, and put every field back
+   whether [f] returns or raises.  Every firing site wraps its rule
+   bodies in this, so a nested firing (a -noDelta chain, or a stolen
+   task run inside a blocking join) leaves the frame it interrupted
+   exactly as it found it. *)
+let with_frame f =
+  let fr = get () in
+  let rule = fr.rule
+  and now = fr.now
+  and bound = fr.bound
+  and strict = fr.strict
+  and past = fr.past in
+  let restore () =
+    fr.rule <- rule;
+    fr.now <- now;
+    fr.bound <- bound;
+    fr.strict <- strict;
+    fr.past <- past
+  in
+  match f fr with
+  | v ->
+      restore ();
+      v
+  | exception e ->
+      restore ();
+      raise e
+
+let enter fr ~rule ~now trigger =
+  fr.rule <- rule;
+  fr.now <- now;
+  fr.bound <- [ trigger ];
+  fr.past <- []

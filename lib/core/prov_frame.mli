@@ -30,3 +30,14 @@ val with_strict : (unit -> 'a) -> 'a
     then requires every visited tuple to be strictly earlier than the
     trigger, per the law's negative/aggregate clause.  Exception-safe;
     nests. *)
+
+val with_frame : (t -> 'a) -> 'a
+(** [with_frame f] runs [f] on this domain's frame, then restores every
+    field of the frame to its value before the call — whether [f]
+    returns or raises.  The save/restore around each firing, so nested
+    firings on one domain never clobber the frame they interrupt. *)
+
+val enter : t -> rule:int -> now:Timestamp.t option -> Tuple.t -> unit
+(** [enter fr ~rule ~now trigger] starts a firing of [rule] in [fr]:
+    trigger time [now], [trigger] as the only binding, no completed
+    scans.  [strict] is left alone. *)

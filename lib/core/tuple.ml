@@ -82,7 +82,7 @@ let compare a b =
   if c <> 0 then c else Value.compare_arrays a.fields b.fields
 
 (* Same order as [compare], through the schema-compiled monomorphic
-   comparator — the hot-path variant behind [Config.specialized_compare]. *)
+   comparator — the hot-path variant every store and dedup table uses. *)
 let fast_compare a b =
   if a == b then 0
   else

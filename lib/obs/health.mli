@@ -5,19 +5,6 @@
     durable session) through [extra].  Fields left [None] are omitted
     so the payload stays honest about what is attached. *)
 
-val shard_status :
-  prev:(int * int array) option ->
-  step:int ->
-  backlogs:int array ->
-  string * int list
-(** Two-scrape shard-backlog degradation: a shard is stuck when its
-    mailbox backlog is non-zero at this scrape {e and} the previous
-    one, with the step counter unchanged between them (queued batches
-    mid-step are normal; queued batches across an idle barrier are
-    not).  Returns [("degraded", offending shard ids)] or
-    [("ok", [])].  The caller holds the previous [(step, backlogs)]
-    scrape. *)
-
 val make :
   ?status:string ->
   ?step:int ->

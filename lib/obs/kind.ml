@@ -19,9 +19,7 @@ let prov_merge = 10
 let audit = 11
 let advisor_demote = 12
 let batch_fire = 13
-let shard_msg = 14
-let shard_drain = 15
-let builtin_count = 16
+let builtin_count = 14
 
 let builtin_names =
   [|
@@ -39,8 +37,6 @@ let builtin_names =
     "audit-violation";
     "advisor-demote";
     "batch-fire";
-    "shard-msg";
-    "shard-drain";
   |]
 
 let builtin_name k =

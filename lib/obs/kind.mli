@@ -38,18 +38,6 @@ val batch_fire : t
 (** Phase B batched firing: one (rule, table)-chunk task of a
     vectorized class execution; the span arg is the chunk width *)
 
-val shard_msg : t
-(** one cross-shard mailbox message, recorded as a linked flow pair:
-    a send half on the producing domain's track and a recv half on the
-    owner shard's track, bound by the message's sequence stamp
-    ({!Tracer.flow_send} / {!Tracer.flow_recv}; the arg packs
-    [(dst_shard, seq)] via {!Tracer.shard_arg}) *)
-
-val shard_drain : t
-(** one shard's mailbox-drain task at a watermark exchange; the span is
-    re-routed onto the shard's named track by the exporter (arg packs
-    the shard id via {!Tracer.shard_arg}) *)
-
 val builtin_count : int
 val builtin_name : int -> string option
 

@@ -1,6 +1,6 @@
 (** One served session: a durable engine session owned by a single
     worker thread, commanded through a lock-free MPSC mailbox — the
-    shard ownership discipline of DESIGN.md §13 lifted to sessions.
+    single-owner discipline of DESIGN.md §13 lifted to sessions.
     Connection threads call the operations below; every engine touch
     happens on the worker.
 

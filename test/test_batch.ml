@@ -298,9 +298,9 @@ let test_session_grid () =
   check_grid_equal ~msg:"session" observations
 
 (* ------------------------------------------------------------------ *)
-(* Probe contract: hash, indexed and (since the sharding PR) ordered
-   stores answer probe_prefix with exactly the tuples iter_prefix
-   visits; only stores with no access path at all decline. *)
+(* Probe contract: hash, indexed and ordered stores answer probe_prefix
+   with exactly the tuples iter_prefix visits; only stores with no
+   access path at all decline. *)
 
 let test_probe_prefix_contract () =
   let schema =

@@ -559,6 +559,142 @@ let test_config_validation () =
          digest = true;
        })
 
+(* ------------------------------------------------------------------ *)
+(* The firing frame survives a raising rule body *)
+
+exception Boom
+
+type raise_site = In_rule | In_nested_chain
+
+type fire_mode = Per_tuple | Task_per_rule | Batch_fire
+
+(* Seed(k) -> Item(k) -> "work", whose two par_iter leaves run a scan
+   body (Out(0, k, sum)) and put Chain(k).  Chain is -noDelta, so its
+   rule runs the same body (Out(1, k, sum)) nested inside the putting
+   leaf.  The body first completes a positive scan (filling [past]),
+   then opens a second one (extending [bound]) and aggregates inside it
+   (raising [strict]); with [explode] set, tuple [k = 5] raises from
+   inside that innermost scope — the deepest frame state a body can
+   reach. *)
+let frame_program ~explode =
+  let p = Program.create () in
+  let table name cols =
+    Program.table p name ~columns:cols ~orderby:Schema.[ Lit name ] ()
+  in
+  let seed = table "Seed" Schema.[ int_col "k" ] in
+  let item = table "Item" Schema.[ int_col "k" ] in
+  let chain = table "Chain" Schema.[ int_col "k" ] in
+  let out = table "Out" Schema.[ int_col "src"; int_col "k"; int_col "sum" ] in
+  Program.order p [ "Seed"; "Item"; "Chain"; "Out" ];
+  let body site ctx k =
+    ignore (Query.list ctx seed ~prefix:[| v_int k |] ());
+    Query.iter ctx seed ~prefix:[| v_int k |] (fun _ ->
+        let sum =
+          Query.reduce ctx seed ~monoid:Reducer.int_sum
+            ~f:(fun s ->
+              if explode = Some site && k = 5 then raise Boom;
+              Tuple.int s "k")
+            ()
+        in
+        let src = match site with In_rule -> 0 | In_nested_chain -> 1 in
+        ctx.Rule.put (Tuple.make out [| v_int src; v_int k; v_int sum |]))
+  in
+  Program.rule p "spread" ~trigger:seed (fun ctx t ->
+      ctx.Rule.put (Tuple.make item [| Tuple.get t 0 |]));
+  Program.rule p "work" ~trigger:item (fun ctx t ->
+      let k = Tuple.int t "k" in
+      ctx.Rule.par_iter 0 2 (fun i ->
+          if i = 0 then body In_rule ctx k
+          else ctx.Rule.put (Tuple.make chain [| v_int k |])));
+  Program.rule p "chain" ~trigger:chain (fun ctx t ->
+      body In_nested_chain ctx (Tuple.int t "k"));
+  let init = List.init 8 (fun k -> Tuple.make seed [| v_int k |]) in
+  (p, out, init)
+
+let frame_config ~threads mode =
+  let c = if threads = 1 then Config.default else Config.parallel ~threads () in
+  {
+    c with
+    Config.batch_fire = mode = Batch_fire;
+    task_per_rule = mode = Task_per_rule;
+    no_delta = [ "Chain" ];
+    provenance = true;
+    audit_causality = true;
+    digest = true;
+  }
+
+(* Digests plus the rendered derivation of every Out tuple. *)
+let frame_observation ~threads mode =
+  let p, out, init = frame_program ~explode:None in
+  let frozen = Program.freeze p in
+  let result, gamma =
+    Engine.run_with_gamma ~init frozen (frame_config ~threads mode)
+  in
+  let lineage = Option.get result.Engine.lineage in
+  let outs = ref [] in
+  (gamma out).Store.iter (fun t -> outs := t :: !outs);
+  let trees =
+    List.map
+      (fun t ->
+        match Jstar_prov.Explain.derive ~lineage ~frozen t with
+        | Some node -> Jstar_prov.Explain.to_string node
+        | None -> Alcotest.fail ("untracked: " ^ Tuple.show t))
+      (List.sort Tuple.compare !outs)
+  in
+  (digest_of result, result.Engine.outputs, trees)
+
+let test_frame_restored_after_raise () =
+  let reference = frame_observation ~threads:1 Per_tuple in
+  let _, _, trees = reference in
+  Alcotest.(check int) "both sources derived every k" 16 (List.length trees);
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun site ->
+              let label =
+                Printf.sprintf "threads=%d %s %s" threads
+                  (match mode with
+                  | Per_tuple -> "per-tuple"
+                  | Task_per_rule -> "task_per_rule"
+                  | Batch_fire -> "batch_fire")
+                  (match site with
+                  | In_rule -> "rule"
+                  | In_nested_chain -> "-noDelta chain")
+              in
+              let p, _, init = frame_program ~explode:(Some site) in
+              (match
+                 Engine.run_program ~init p (frame_config ~threads mode)
+               with
+              | _ -> Alcotest.failf "%s: Boom did not surface" label
+              | exception Boom -> ());
+              let fr = Prov_frame.get () in
+              Alcotest.(check int)
+                (label ^ ": rule back at seed")
+                Prov_frame.seed_rule fr.Prov_frame.rule;
+              Alcotest.(check bool)
+                (label ^ ": no trigger time")
+                true (fr.Prov_frame.now = None);
+              Alcotest.(check int)
+                (label ^ ": bound empty")
+                0
+                (List.length fr.Prov_frame.bound);
+              Alcotest.(check int)
+                (label ^ ": past empty")
+                0
+                (List.length fr.Prov_frame.past);
+              Alcotest.(check int)
+                (label ^ ": strict depth 0")
+                0 fr.Prov_frame.strict;
+              Alcotest.(check bool)
+                (label ^ ": fresh run = clean run")
+                true
+                (frame_observation ~threads mode = reference))
+            [ In_rule; In_nested_chain ])
+        [ Per_tuple; Task_per_rule; Batch_fire ])
+    [ 1; 2 ]
+
 let suite =
   [
     ( "prov",
@@ -588,5 +724,7 @@ let suite =
         Alcotest.test_case "zero-alloc put path, provenance off" `Quick
           test_put_path_zero_alloc_prov_off;
         Alcotest.test_case "config validation" `Quick test_config_validation;
+        Alcotest.test_case "frame restored after a rule raises" `Quick
+          test_frame_restored_after_raise;
       ] );
   ]
