@@ -127,11 +127,14 @@ val sequential : t
 (** Alias of {!default} — the [-sequential] compiler flag. *)
 
 val parallel : ?threads:int -> unit -> t
-(** Parallel defaults ([threads] defaults to 4): put batching, the
-    aggregate cache, the store advisor and the continuous profiler on —
-    the knobs EXPERIMENTS.md showed strictly helping (or costing ≤ 3%
-    on) multi-threaded runs.  {!default} keeps them off so ablation
-    baselines remain reachable. *)
+(** Parallel defaults ([threads] defaults to 4): put batching, batched
+    firing, the aggregate cache, the store advisor and the continuous
+    profiler on.  {!default} keeps them off so ablation baselines
+    remain reachable.  The profiler's price: over 5 default-scale runs
+    of [bench hotpath] (2 threads, 2 vCPUs, rev ec488ca)
+    [profiler_overhead_vs_all_on] had median −4.3% and ranged from
+    −7.6% to +2.9%, so its cost is below that box's run-to-run spread
+    (EXPERIMENTS.md "Hot-path ablation"). *)
 
 val effective_mode : t -> Delta.mode
 (** Which structure family the configuration resolves to. *)
